@@ -6,7 +6,7 @@ RACE_PKGS := ./internal/core ./internal/obs ./internal/protocol ./internal/rlnc 
 # scalar reference implementations so both dispatch arms stay tested.
 PUREGO_PKGS := ./internal/gf/... ./internal/rlnc/...
 
-.PHONY: check build crossbuild vet fmt lint test purego race churn lossy fuzz allocguard bench-gate swarm scale bench
+.PHONY: check build crossbuild vet fmt lint test purego race churn lossy fuzz allocguard bench-gate swarm scale bench bench-e2e
 
 check: vet fmt lint build crossbuild test purego race churn lossy fuzz allocguard bench-gate swarm
 
@@ -39,7 +39,8 @@ purego:
 	$(GO) test -tags purego $(PUREGO_PKGS)
 
 # Race-check the concurrency-heavy packages (atomics in obs, the tracker
-# and node state machines, the parallel decoder, both transports).
+# and node state machines, the codecs shared between a node's receive
+# loop and its forwarders, the swarm engine, both transports).
 race:
 	$(GO) test -race $(RACE_PKGS)
 
@@ -67,16 +68,17 @@ fuzz:
 
 # Allocation guards: with sampling off, the traced emit/receive hot path
 # must allocate nothing beyond the untraced baseline, and the decode
-# steady state (redundant packets, systematic installs) must be
-# zero-alloc.
+# steady state (redundant packets, systematic installs, recoder re-mix)
+# must be zero-alloc.
 allocguard:
 	$(GO) test ./internal/protocol -run TestTracedHotPathAllocs -count=1
 	$(GO) test ./internal/protocol -run TestLinkHotPathAllocs -count=1
 	$(GO) test ./internal/rlnc -run TestDecodeHotPathAllocs -count=1
 
-# Perf regression gate: emit paths stay zero-alloc and the parallel
-# decoder beats serial at workers>=2 (the property the batch engine
-# exists for).
+# Perf regression gate: emit paths stay zero-alloc, and coded FileDecoder
+# throughput divided by the same run's AddMulSlice(GF256) throughput
+# stays above the floor committed in BENCH_rlnc.json (gate.floor =
+# baseline x (1 - tolerance)), so host speed cancels out of the check.
 bench-gate:
 	$(GO) run ./cmd/ncast-perf -gate
 
@@ -95,8 +97,18 @@ swarm:
 scale:
 	$(GO) run ./cmd/ncast-scale -quick -o /dev/null
 
-# Data-plane fast-path trajectory: kernel throughput, emit-path allocs,
-# and serial-vs-parallel file decode, recorded in BENCH_rlnc.json.
+# Data-plane fast-path trajectory: host, kernel throughput, emit-path
+# allocs, coded and systematic file decode, and the bench-gate floor,
+# recorded in BENCH_rlnc.json.
 bench:
 	$(GO) run ./cmd/ncast-perf -o BENCH_rlnc.json
 	$(GO) test . -run NONE -bench . -benchmem
+
+# The end-to-end benchmark (BENCHMARK.json): each workload runs for 20 s
+# and prints its metrics; the last line of each run is its JSON result.
+# Not part of check: a run takes minutes and mem-relay-lossy peaks near
+# 1.3 GB resident. See ncbench/README.md.
+bench-e2e:
+	bash ncbench/run.sh --workload mem-relay-lossy --seed 1 --seconds 20 --trace 0
+	bash ncbench/run.sh --workload udp-loopback --seed 1 --seconds 20 --trace 0
+	bash ncbench/run.sh --workload ctrl-churn --seed 1 --seconds 20 --trace 0

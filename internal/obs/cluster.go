@@ -29,8 +29,8 @@ type ClusterNode struct {
 	Innovative uint64 `json:"innovative"`
 	Redundant  uint64 `json:"redundant"`
 	Complaints uint64 `json:"complaints"`
-	// LeaseRenewals counts liveness leases the node has sent; QueueDepth
-	// is its pending decode-queue depth at report time.
+	// LeaseRenewals counts liveness leases the node has sent. QueueDepth
+	// mirrors the report field, which is always 0 (nodes decode inline).
 	LeaseRenewals uint64 `json:"lease_renewals"`
 	QueueDepth    int    `json:"queue_depth"`
 

@@ -45,7 +45,7 @@ type GenEvent struct {
 }
 
 // GenSink consumes lifecycle transitions; it must be safe for concurrent
-// calls (decode workers of distinct generations fire independently).
+// calls (the nodes of one session share a sink and fire independently).
 type GenSink func(GenEvent)
 
 // genState is the per-generation lifecycle record of one tracker.

@@ -248,8 +248,9 @@ type StatsReport struct {
 	Innovative uint64 `json:"innovative"`
 	Redundant  uint64 `json:"redundant"`
 	Complaints uint64 `json:"complaints"`
-	// LeaseRenewals counts lease messages sent; QueueDepth is the pending
-	// decode-queue depth at report time.
+	// LeaseRenewals counts lease messages sent. QueueDepth is always 0:
+	// nodes decode inline and have no decode queue. The field stays on
+	// the wire until the control codec changes, so report sizes hold.
 	LeaseRenewals uint64 `json:"lease_renewals"`
 	QueueDepth    int    `json:"queue_depth"`
 

@@ -49,12 +49,10 @@ type NodeConfig struct {
 	Behavior Behavior
 	// Seed drives recoding randomness.
 	Seed int64
-	// DecodeWorkers sets the size of the worker pool that absorbs data
-	// packets into per-generation recoders. Packets are sharded to
-	// workers by generation id, so each generation's Gaussian
-	// elimination stays single-threaded while distinct generations
-	// decode in parallel. 0 or 1 absorbs packets inline on the receive
-	// loop (the prior behavior).
+	// DecodeWorkers is ignored: the node always absorbs data packets
+	// inline on its receive loop.
+	//
+	// Deprecated: kept so existing callers compile; it selects nothing.
 	DecodeWorkers int
 	// LinkSeq turns on link telemetry's wire stamping: outbound data
 	// frames carry per-(sender, thread) sequence numbers and keepalives
@@ -67,8 +65,9 @@ type NodeConfig struct {
 	Obs *obs.NodeMetrics
 	// GenSink, when non-nil, receives every generation-lifecycle
 	// transition (first packet, rank quartiles, decode) — the feed behind
-	// ncast-sim's -timeline and any live observer. Called from decode
-	// workers; must be safe for concurrent use.
+	// ncast-sim's -timeline and any live observer. Called from the
+	// node's receive loop; a sink shared between nodes must be safe for
+	// concurrent use.
 	GenSink obs.GenSink
 }
 
@@ -138,28 +137,9 @@ type Node struct {
 	// replays instead of re-mixing.
 	replay map[uint32]*rlnc.Packet
 
-	// decodeQ holds the per-worker packet queues when DecodeWorkers > 1;
-	// nil means inline decoding. Written once in Run before the receive
-	// loop and read only from it, so no lock is needed.
-	decodeQ  []chan decodeJob
-	decodeWG sync.WaitGroup
-
 	joinedCh   chan error
 	completeCh chan struct{}
 	leftCh     chan struct{}
-}
-
-// decodeJob carries one received packet to a decode worker, with the
-// session field, recoder, trace context, and source-emission stamp
-// captured under n.mu at enqueue time.
-type decodeJob struct {
-	f    gf.Field
-	th   int
-	from string
-	emit int64
-	tc   TraceContext
-	rc   *rlnc.Recoder
-	p    *rlnc.Packet
 }
 
 // traceState is the per-generation trace merge state: the trace ID the
@@ -413,24 +393,6 @@ func (n *Node) Run(ctx context.Context) error {
 	// The lease and stats loops idle until a welcome announces intervals.
 	go n.leaseLoop(ctx)
 	go n.statsLoop(ctx)
-
-	if n.cfg.DecodeWorkers > 1 {
-		n.decodeQ = make([]chan decodeJob, n.cfg.DecodeWorkers)
-		for i := range n.decodeQ {
-			q := make(chan decodeJob, 64)
-			n.decodeQ[i] = q
-			n.decodeWG.Add(1)
-			go n.decodeWorker(ctx, q)
-		}
-		// The receive loop is the only sender, so once Run unwinds no
-		// more jobs can arrive and the queues can close.
-		defer func() {
-			for _, q := range n.decodeQ {
-				close(q)
-			}
-			n.decodeWG.Wait()
-		}()
-	}
 
 	for {
 		from, frame, err := n.ep.Recv(ctx)
@@ -715,33 +677,14 @@ func (n *Node) handleData(ctx context.Context, from string, frame []byte) {
 	}
 	f := n.field
 	n.mu.Unlock()
-
-	if n.decodeQ == nil {
-		n.absorb(ctx, f, th, from, emit, tc, rc, p)
-		return
-	}
-	select {
-	case n.decodeQ[int(p.Gen)%len(n.decodeQ)] <- decodeJob{f: f, th: th, from: from, emit: emit, tc: tc, rc: rc, p: p}:
-	default:
-		// A saturated decode worker behaves like a congested link: the
-		// packet is dropped, which RLNC absorbs by design.
-		p.Release()
-	}
-}
-
-// decodeWorker drains one shard of the decode queue until Run closes it.
-func (n *Node) decodeWorker(ctx context.Context, q <-chan decodeJob) {
-	defer n.decodeWG.Done()
-	for j := range q {
-		n.absorb(ctx, j.f, j.th, j.from, j.emit, j.tc, j.rc, j.p)
-	}
+	n.absorb(ctx, f, th, from, emit, tc, rc, p)
 }
 
 // absorb performs the Gaussian elimination for one received packet —
-// outside n.mu, so independent generations can run it concurrently —
-// then re-locks for node bookkeeping and forwards one packet of the same
-// generation down the node's own thread, preserving unit flow per
-// thread. It consumes p (released back to the packet pool).
+// outside n.mu, so stats, content and control handlers never wait on
+// it — then re-locks for node bookkeeping and forwards one packet of
+// the same generation down the node's own thread, preserving unit flow
+// per thread. It consumes p (released back to the packet pool).
 func (n *Node) absorb(ctx context.Context, f gf.Field, th int, from string, emit int64, tc TraceContext, rc *rlnc.Recoder, p *rlnc.Packet) {
 	m := n.cfg.Obs
 	// Stamp the arrival before the Gaussian elimination so the hop span
@@ -1163,9 +1106,6 @@ func (n *Node) buildStatsReport() StatsReport {
 			r.GenRanks[i] = rc.Rank()
 			r.Rank += rc.Rank()
 		}
-	}
-	for _, q := range n.decodeQ {
-		r.QueueDepth += len(q)
 	}
 	lc := n.lifecycle
 	hl := n.hoplog

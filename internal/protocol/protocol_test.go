@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ncast/internal/gf"
+	"ncast/internal/obs"
 	"ncast/internal/rlnc"
 	"ncast/internal/transport"
 )
@@ -511,5 +512,59 @@ func TestSourceSystematicEmission(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), content) {
 		t.Fatal("decoded content mismatch")
+	}
+}
+
+// TestSourcePacingHoldsSubMillisecondRate is a regression test: a source
+// that slept a fresh RoundInterval after every round ran far below its
+// nominal rate, because the runtime wakes sub-millisecond timers of an
+// idle process only at millisecond granularity. Rounds are now due on an
+// absolute schedule, so the rounded-up sleeps are made up. The test is
+// deliberately not parallel: a busy process fires timers on time and
+// would hide the rounding.
+func TestSourcePacingHoldsSubMillisecondRate(t *testing.T) {
+	const interval, window = 100 * time.Microsecond, 400 * time.Millisecond
+	params := rlnc.Params{Field: gf.F256, GenSize: 4, PacketSize: 32}
+	net := transport.NewNetwork()
+	defer net.Close()
+	srcEP, err := net.Endpoint("src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinkEP, err := net.Endpoint("sink")
+	if err != nil {
+		t.Fatal(err)
+	}
+	source, err := NewSource(srcEP, 1, params, randContent(4*params.GenSize*params.PacketSize), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	source.RoundInterval = interval
+	source.Obs = obs.NewSourceMetrics(obs.NewRegistry())
+	source.SetChild(0, "sink")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); _ = source.Run(ctx) }()
+	go func() {
+		defer wg.Done()
+		for {
+			if _, _, err := sinkEP.Recv(ctx); err != nil {
+				return
+			}
+		}
+	}()
+	time.Sleep(window) // the measurement window itself, not a wait for an event
+	cancel()
+	wg.Wait()
+
+	// Nominal is window/interval = 4000 rounds; millisecond rounding
+	// allows about 400. A third of nominal separates the two with room
+	// for -race and a loaded host.
+	rounds := source.Obs.Rounds.Value()
+	if want := uint64(window / interval / 3); rounds < want {
+		t.Fatalf("%d rounds in %v at %v pacing, want >= %d (nominal %d)",
+			rounds, window, interval, want, window/interval)
 	}
 }

@@ -32,8 +32,10 @@ type Source struct {
 	// that generation and propagated by forwarding nodes.
 	emitAt    map[uint32]int64
 	traceSeed int64
-	// RoundInterval throttles pump rounds; zero relies on transport
-	// backpressure alone.
+	// RoundInterval paces pump rounds: round n is due RoundInterval
+	// after round n-1 was due, so sleeps the runtime rounds up (timers
+	// on an idle process wake at millisecond granularity) are made up by
+	// the rounds after them. Zero relies on transport backpressure alone.
 	RoundInterval time.Duration
 	// Obs carries optional instrumentation; nil is a no-op.
 	Obs *obs.SourceMetrics
@@ -60,6 +62,12 @@ type Source struct {
 	// Run touches it.
 	seq []uint32
 }
+
+// maxPacingLag bounds how far a paced source may trail its round
+// schedule and still catch up with back-to-back rounds. Past it (a stall
+// or a slow send) the schedule restarts from now rather than bursting
+// the backlog.
+const maxPacingLag = 2 * time.Millisecond
 
 // NewSource wraps content for broadcasting on k threads.
 func NewSource(ep transport.Endpoint, k int, params rlnc.Params, content []byte, seed int64) (*Source, error) {
@@ -183,6 +191,7 @@ func (s *Source) Run(ctx context.Context) error {
 	if s.fe != nil {
 		gens = s.fe.NumGenerations()
 	}
+	var due time.Time // when the next paced round is due; zero after idling
 	for round := 0; ; round++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -250,12 +259,24 @@ func (s *Source) Run(ctx context.Context) error {
 		if !idle && m != nil {
 			m.Rounds.Inc()
 		}
-		if s.RoundInterval > 0 || idle {
-			interval := s.RoundInterval
-			if interval == 0 {
-				interval = time.Millisecond
+		var wait time.Duration
+		switch {
+		case idle:
+			due = time.Time{}
+			wait = s.RoundInterval
+			if wait == 0 {
+				wait = time.Millisecond
 			}
-			timer := time.NewTimer(interval)
+		case s.RoundInterval > 0:
+			now := time.Now()
+			if due.IsZero() || now.Sub(due) > maxPacingLag {
+				due = now
+			}
+			due = due.Add(s.RoundInterval)
+			wait = due.Sub(now)
+		}
+		if wait > 0 {
+			timer := time.NewTimer(wait)
 			select {
 			case <-timer.C:
 			case <-ctx.Done():

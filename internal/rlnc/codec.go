@@ -10,34 +10,95 @@ import (
 	"ncast/internal/obs"
 )
 
-// codecObs carries optional instrumentation for a Decoder or Recoder:
-// Gaussian-elimination time per absorbed packet and first-packet-to-full-
-// rank latency per generation. A nil *codecObs is a single-branch no-op,
-// so uninstrumented codecs never read the clock.
+// codec is the state Decoder and Recoder share: one generation's
+// elimination engine behind a mutex, with optional instrumentation. Its
+// Add, Rank, Complete and Instrument methods are promoted to both.
+type codec struct {
+	gen  uint32
+	role string // "decoder" or "recoder", for error messages
+	mu   sync.Mutex
+	e    *genDecoder
+	obs  *codecObs
+}
+
+// codecObs carries optional instrumentation for a codec: Gaussian-
+// elimination time per absorbed packet and first-packet-to-full-rank
+// latency per generation. A nil *codecObs is a single-branch no-op, so
+// uninstrumented codecs never read the clock.
 type codecObs struct {
 	m       *obs.CodecMetrics
 	firstAt time.Time
 	done    bool
 }
 
-// addObserved runs the basis add under o's timing, routing systematic
-// packets to the fast install path. o may be nil.
-func addObserved(b *basis, o *codecObs, sys bool, sysIdx uint16, coeff []uint16, payload []byte) (bool, error) {
+func (c *codec) init(f gf.Field, gen uint32, h, size int, role string) error {
+	if err := (Params{Field: f, GenSize: h, PacketSize: size}).Validate(); err != nil {
+		return err
+	}
+	c.gen, c.role, c.e = gen, role, newGenDecoder(f, h, size)
+	return nil
+}
+
+// Instrument attaches obs metrics; a nil bundle leaves the codec
+// uninstrumented. Callers must serialise with Add (the protocol layer
+// instruments a recoder at creation, before any packet arrives).
+func (c *codec) Instrument(m *obs.CodecMetrics) {
+	if m == nil {
+		return
+	}
+	c.mu.Lock()
+	c.obs = &codecObs{m: m}
+	c.mu.Unlock()
+}
+
+// Add absorbs a coded packet, reporting whether it was innovative
+// (increased the rank). Packets for other generations are rejected with
+// an error. The packet is only read; the caller keeps ownership. Every
+// call, including one absorbed by a complete generation, is one
+// observation of the elimination-time histogram when instrumented.
+func (c *codec) Add(p *Packet) (innovative bool, err error) {
+	if p.Gen != c.gen {
+		return false, fmt.Errorf("rlnc: packet for generation %d, %s expects %d", p.Gen, c.role, c.gen)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	o := c.obs
 	if o == nil {
-		return b.addPacket(sys, sysIdx, coeff, payload)
+		return c.e.add(p)
 	}
 	if o.firstAt.IsZero() {
 		o.firstAt = time.Now()
 	}
 	start := time.Now()
-	innovative, err := b.addPacket(sys, sysIdx, coeff, payload)
+	innovative, err = c.e.add(p)
 	o.m.GaussNanos.ObserveSince(start)
-	if err == nil && !o.done && b.complete() {
+	if err == nil && !o.done && c.e.complete() {
 		o.done = true
 		o.m.GenLatency.ObserveSince(o.firstAt)
 		o.m.GensComplete.Inc()
 	}
 	return innovative, err
+}
+
+// Rank returns the dimension of the received subspace.
+func (c *codec) Rank() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.e.rank
+}
+
+// Complete reports whether the generation can be decoded.
+func (c *codec) Complete() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.e.complete()
+}
+
+// source returns the decoded source packets; it errors until Complete.
+func (c *codec) source() ([][]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.e.source()
 }
 
 // Encoder produces coded packets for one generation of source data. It is
@@ -103,183 +164,39 @@ func (e *Encoder) Systematic(i int) (*Packet, error) {
 	return p, nil
 }
 
-// scratch holds a codec's reusable staging buffers for Add: the incoming
-// packet is copied here, eliminated in place, and the buffers are donated
-// to the basis only when the packet turns out innovative (at most h times
-// per generation). Redundant packets — the steady state of a flooded
-// overlay — are absorbed with zero allocations.
-type scratch struct {
-	coeff   []uint16
-	payload []byte
-}
-
-// stage copies the packet into the scratch buffers, reusing their capacity.
-// For systematic packets the coefficient vector is reconstructed as the
-// unit vector of SysIdx rather than copied, so the basis fast path's
-// precondition holds even for hand-built packets with stale Coeff.
-func (s *scratch) stage(p *Packet) ([]uint16, []byte) {
-	if cap(s.coeff) >= len(p.Coeff) {
-		s.coeff = s.coeff[:len(p.Coeff)]
-	} else {
-		s.coeff = make([]uint16, len(p.Coeff))
-	}
-	if p.Sys {
-		clear(s.coeff)
-		if int(p.SysIdx) < len(s.coeff) {
-			s.coeff[p.SysIdx] = 1
-		}
-	} else {
-		copy(s.coeff, p.Coeff)
-	}
-	if cap(s.payload) >= len(p.Payload) {
-		s.payload = s.payload[:len(p.Payload)]
-	} else {
-		s.payload = make([]byte, len(p.Payload))
-	}
-	copy(s.payload, p.Payload)
-	return s.coeff, s.payload
-}
-
-// donate relinquishes the buffers after the basis captured them.
-func (s *scratch) donate() { s.coeff, s.payload = nil, nil }
-
 // Decoder recovers one generation by progressive Gaussian elimination.
-// All methods are safe for concurrent use; the parallel file decoder
-// relies on that for cross-generation fan-out while keeping each
-// decoder's elimination single-threaded (packets for one generation are
-// always handled by one worker).
-type Decoder struct {
-	f   gf.Field
-	gen uint32
-	mu  sync.Mutex
-	b   *basis
-	obs *codecObs
-	s   scratch
-}
-
-// Instrument attaches obs metrics; a nil bundle leaves the decoder
-// uninstrumented. Not safe to call concurrently with Add.
-func (d *Decoder) Instrument(m *obs.CodecMetrics) {
-	if m == nil {
-		return
-	}
-	d.mu.Lock()
-	d.obs = &codecObs{m: m}
-	d.mu.Unlock()
-}
+// All methods are safe for concurrent use.
+type Decoder struct{ codec }
 
 // NewDecoder creates a decoder for generation gen with h source packets of
 // the given payload size.
 func NewDecoder(f gf.Field, gen uint32, h, size int) (*Decoder, error) {
-	b, err := newBasis(f, h, size)
-	if err != nil {
+	d := new(Decoder)
+	if err := d.init(f, gen, h, size, "decoder"); err != nil {
 		return nil, err
 	}
-	return &Decoder{f: f, gen: gen, b: b}, nil
-}
-
-// Add absorbs a coded packet, reporting whether it was innovative
-// (increased the decoder's rank). Packets for other generations are
-// rejected with an error. The packet is copied; the caller keeps ownership.
-func (d *Decoder) Add(p *Packet) (innovative bool, err error) {
-	if p.Gen != d.gen {
-		return false, fmt.Errorf("rlnc: packet for generation %d, decoder expects %d", p.Gen, d.gen)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	coeff, payload := d.s.stage(p)
-	innovative, err = addObserved(d.b, d.obs, p.Sys, p.SysIdx, coeff, payload)
-	if innovative {
-		d.s.donate()
-	}
-	return innovative, err
-}
-
-// Rank returns the number of linearly independent packets received.
-func (d *Decoder) Rank() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.b.rank()
-}
-
-// Complete reports whether the generation can be decoded.
-func (d *Decoder) Complete() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.b.complete()
+	return d, nil
 }
 
 // Source returns the decoded source packets; it errors until Complete.
 // The returned slices alias decoder state; callers must not modify them.
-func (d *Decoder) Source() ([][]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.b.source()
-}
+func (d *Decoder) Source() ([][]byte, error) { return d.source() }
 
 // Recoder is the buffer-and-mix element run by every overlay node: it
-// stores the innovative packets seen so far (in reduced form) and emits
+// stores the innovative packets seen so far (in echelon form) and emits
 // fresh random combinations of them. A recoder never needs the source
 // data, only coded packets, and its output is statistically equivalent to
 // fresh encodings of the subspace it has received — the key property of
 // practical network coding.
-type Recoder struct {
-	f   gf.Field
-	gen uint32
-	mu  sync.Mutex
-	b   *basis
-	obs *codecObs
-	s   scratch
-}
-
-// Instrument attaches obs metrics; a nil bundle leaves the recoder
-// uninstrumented. Callers must serialise with Add (the protocol layer
-// instruments a recoder at creation, before any packet arrives).
-func (rc *Recoder) Instrument(m *obs.CodecMetrics) {
-	if m == nil {
-		return
-	}
-	rc.mu.Lock()
-	rc.obs = &codecObs{m: m}
-	rc.mu.Unlock()
-}
+type Recoder struct{ codec }
 
 // NewRecoder creates a recoder for generation gen.
 func NewRecoder(f gf.Field, gen uint32, h, size int) (*Recoder, error) {
-	b, err := newBasis(f, h, size)
-	if err != nil {
+	rc := new(Recoder)
+	if err := rc.init(f, gen, h, size, "recoder"); err != nil {
 		return nil, err
 	}
-	return &Recoder{f: f, gen: gen, b: b}, nil
-}
-
-// Add buffers a received packet, reporting whether it was innovative.
-func (rc *Recoder) Add(p *Packet) (innovative bool, err error) {
-	if p.Gen != rc.gen {
-		return false, fmt.Errorf("rlnc: packet for generation %d, recoder expects %d", p.Gen, rc.gen)
-	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	coeff, payload := rc.s.stage(p)
-	innovative, err = addObserved(rc.b, rc.obs, p.Sys, p.SysIdx, coeff, payload)
-	if innovative {
-		rc.s.donate()
-	}
-	return innovative, err
-}
-
-// Rank returns the dimension of the received subspace.
-func (rc *Recoder) Rank() int {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.b.rank()
-}
-
-// Complete reports whether the recoder holds the full generation.
-func (rc *Recoder) Complete() bool {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.b.complete()
+	return rc, nil
 }
 
 // Packet emits a random combination of the buffered packets. It returns
@@ -288,26 +205,22 @@ func (rc *Recoder) Complete() bool {
 func (rc *Recoder) Packet(r *rand.Rand) (*Packet, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if rc.b.rank() == 0 {
+	e := rc.e
+	if e.rank == 0 {
 		return nil, false
 	}
-	p := getPacket(rc.gen, rc.b.h, rc.b.size)
-	for i := range rc.b.rows {
-		row := &rc.b.rows[i]
-		c := rc.f.Rand(r)
+	p := getPacket(rc.gen, e.h, e.size)
+	for s := 0; s < e.rank; s++ {
+		c := e.f.Rand(r)
 		if c == 0 {
 			continue
 		}
-		rc.f.AddMulCoeff(p.Coeff, row.coeff, c)
-		rc.f.AddMulSlice(p.Payload, row.payload, c)
+		e.f.AddMulCoeff(p.Coeff, e.coeffRow(s), c)
+		e.f.AddMulSlice(p.Payload, e.arenaRow(s), c)
 	}
 	return p, true
 }
 
 // Decode returns the source packets once the recoder is complete; a node
 // that has gathered full rank can play out the content directly.
-func (rc *Recoder) Decode() ([][]byte, error) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.b.source()
-}
+func (rc *Recoder) Decode() ([][]byte, error) { return rc.source() }

@@ -6,16 +6,17 @@ import (
 	"testing"
 
 	"ncast/internal/gf"
+	"ncast/internal/matrix"
 )
 
-// The differential suite pins the one property the decode-engine overhaul
-// must not bend: for any packet schedule that completes, the parallel
-// decoder's output is byte-identical to the serial FileDecoder's (and to
-// the original content). Schedules are seeded and deterministic, and span
-// loss, duplication, stale traffic for completed generations, systematic
-// and coded mixes, and every worker count the bench matrix uses. The
-// whole file also runs under -race via `make race`, which is what makes
-// the worker-pool handoff itself part of the contract.
+// The differential suite checks every decoder the package offers —
+// Decoder, Recoder and FileDecoder — against an oracle that shares none
+// of the engine's elimination: a packet must be reported innovative
+// exactly when internal/matrix says it raises the rank of the
+// coefficient rows received so far, and decoded bytes must equal the
+// source content. Schedules are seeded and deterministic, and span loss,
+// duplication, stale traffic for completed generations, and systematic
+// and coded mixes. The suite also runs under -race via `make race`.
 
 // diffSchedule builds one deterministic packet feed for the scenario.
 // Returned packets are owned by the caller.
@@ -121,7 +122,39 @@ func duplicatesAndStale(t *testing.T, fe *FileEncoder, params Params, gens int, 
 	return pkts
 }
 
-func TestParallelMatchesSerialDifferential(t *testing.T) {
+// rankOracle tracks one generation's independent received coefficient
+// rows; innovation is decided by internal/matrix's rank.
+type rankOracle struct {
+	f    gf.Field
+	rows [][]uint16
+}
+
+// raises reports whether coeff would raise the received rank.
+func (o *rankOracle) raises(coeff []uint16) bool {
+	rows := append(o.rows[:len(o.rows):len(o.rows)], coeff)
+	return matrix.FromRows(o.f, rows).Rank() > len(o.rows)
+}
+
+// add records coeff and reports whether it raised the rank.
+func (o *rankOracle) add(coeff []uint16) bool {
+	if !o.raises(coeff) {
+		return false
+	}
+	o.rows = append(o.rows, append([]uint16(nil), coeff...))
+	return true
+}
+
+// coeffOf returns the coefficient vector a packet stands for.
+func coeffOf(p *Packet, h int) []uint16 {
+	if !p.Sys {
+		return p.Coeff
+	}
+	unit := make([]uint16, h)
+	unit[p.SysIdx] = 1
+	return unit
+}
+
+func TestDifferentialAgainstOracle(t *testing.T) {
 	t.Parallel()
 	scenarios := []diffScenario{
 		{"coded-only/GF256", gf.F256, 8, 128, codedOnly},
@@ -153,36 +186,84 @@ func TestParallelMatchesSerialDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range pkts {
-				if _, err := fd.Add(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			serial, err := fd.Bytes()
-			if err != nil {
-				t.Fatalf("serial decode: %v", err)
-			}
-			if !bytes.Equal(serial, content) {
-				t.Fatal("serial output differs from content")
-			}
-
-			for _, workers := range []int{1, 2, 4, 8} {
-				pd, err := NewParallelFileDecoder(params, contentLen, workers, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, p := range pkts {
-					if err := pd.Add(p.ClonePooled()); err != nil {
+			src := make([][][]byte, gens)
+			oracles := make([]rankOracle, gens)
+			decs := make([]*Decoder, gens)
+			recs := make([]*Recoder, gens)
+			for g := range decs {
+				for i := 0; i < params.GenSize; i++ {
+					p, err := fe.Systematic(g, i)
+					if err != nil {
 						t.Fatal(err)
 					}
+					src[g] = append(src[g], p.Payload)
 				}
-				pd.Close()
-				parallel, err := pd.Bytes()
+				oracles[g].f = sc.field
+				if decs[g], err = NewDecoder(sc.field, uint32(g), params.GenSize, params.PacketSize); err != nil {
+					t.Fatal(err)
+				}
+				if recs[g], err = NewRecoder(sc.field, uint32(g), params.GenSize, params.PacketSize); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mix := rand.New(rand.NewSource(5678))
+			for i, p := range pkts {
+				g := p.Gen
+				want := oracles[g].add(coeffOf(p, params.GenSize))
+				for _, d := range []struct {
+					name string
+					add  func(*Packet) (bool, error)
+				}{{"Decoder", decs[g].Add}, {"Recoder", recs[g].Add}, {"FileDecoder", fd.Add}} {
+					got, err := d.add(p)
+					if err != nil {
+						t.Fatalf("packet %d: %s: %v", i, d.name, err)
+					}
+					if got != want {
+						t.Fatalf("packet %d (gen %d): %s innovative=%v, oracle %v", i, g, d.name, got, want)
+					}
+				}
+				// A recoded packet must lie in the received subspace and
+				// carry the source combination its coefficients name.
+				out, ok := recs[g].Packet(mix)
+				if !ok {
+					t.Fatalf("packet %d: recoder empty after an add", i)
+				}
+				if oracles[g].raises(out.Coeff) {
+					t.Fatalf("packet %d: recoded coefficients outside the received subspace", i)
+				}
+				mixed := make([]byte, params.PacketSize)
+				for j, c := range out.Coeff {
+					sc.field.AddMulSlice(mixed, src[g][j], c)
+				}
+				if !bytes.Equal(out.Payload, mixed) {
+					t.Fatalf("packet %d: recoded payload disagrees with its coefficients", i)
+				}
+				out.Release()
+			}
+
+			got, err := fd.Bytes()
+			if err != nil {
+				t.Fatalf("FileDecoder: %v", err)
+			}
+			if !bytes.Equal(got, content) {
+				t.Fatal("FileDecoder output differs from content")
+			}
+			for g := range decs {
+				if len(oracles[g].rows) != params.GenSize {
+					t.Fatalf("gen %d: schedule reached rank %d only", g, len(oracles[g].rows))
+				}
+				dsrc, err := decs[g].Source()
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatalf("gen %d: Decoder: %v", g, err)
 				}
-				if !bytes.Equal(parallel, serial) {
-					t.Fatalf("workers=%d: parallel output differs from serial", workers)
+				rsrc, err := recs[g].Decode()
+				if err != nil {
+					t.Fatalf("gen %d: Recoder: %v", g, err)
+				}
+				for i := range src[g] {
+					if !bytes.Equal(dsrc[i], src[g][i]) || !bytes.Equal(rsrc[i], src[g][i]) {
+						t.Fatalf("gen %d: source packet %d differs", g, i)
+					}
 				}
 			}
 		})
@@ -190,66 +271,77 @@ func TestParallelMatchesSerialDifferential(t *testing.T) {
 }
 
 // TestDecodeHotPathAllocs pins the decode-side allocation budget: with
-// warm pools and settled engines, redundant packets — the flood steady
-// state — are absorbed by both decoders without allocating.
+// warm pools, redundant packets — the flood steady state, whether they
+// arrive at partial or full rank — systematic installs, and the re-mix
+// of a partial-rank recoder run without allocating.
 func TestDecodeHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
 	}
 	r := rand.New(rand.NewSource(17))
 	params := Params{Field: gf.F256, GenSize: 16, PacketSize: 1024}
-	contentLen := 4 * params.genBytes()
-	content := make([]byte, contentLen)
+	content := make([]byte, 4*params.genBytes())
 	r.Read(content)
 	fe, err := NewFileEncoder(params, content)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pin := func(name string, fn func()) {
+		t.Helper()
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, n)
+		}
+	}
+	add := func(c interface{ Add(*Packet) (bool, error) }, p *Packet) {
+		if _, err := c.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	// Serial Decoder: complete a generation, then hammer it.
+	// Decoder at full rank: every further packet takes the complete
+	// shortcut.
 	dec, err := NewDecoder(params.Field, 0, params.GenSize, params.PacketSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for !dec.Complete() {
 		p, _ := fe.Packet(0, r)
-		if _, err := dec.Add(p); err != nil {
-			t.Fatal(err)
-		}
+		add(dec, p)
 		p.Release()
 	}
-	redundant, _ := fe.Packet(0, r)
-	defer redundant.Release()
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := dec.Add(redundant); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("redundant Decoder.Add: %v allocs/op, want 0", n)
-	}
-
-	// Batch engine: same steady state, measured through the genDecoder
-	// the worker pool runs.
-	e := newGenDecoder(params.Field, params.GenSize, params.PacketSize)
-	for !e.complete() {
-		p, _ := fe.Packet(1, r)
-		if _, err := e.add(p); err != nil {
-			t.Fatal(err)
-		}
-		p.Release()
-	}
-	stale, _ := fe.Packet(1, r)
+	stale, _ := fe.Packet(0, r)
 	defer stale.Release()
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := e.add(stale); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("redundant genDecoder.add: %v allocs/op, want 0", n)
-	}
+	pin("redundant Decoder.Add at full rank", func() { add(dec, stale) })
 
-	// Systematic fast path on a fresh engine: install must cost only the
-	// arena copy, never an allocation.
+	// Recoder at partial rank: its own output is redundant to it, so the
+	// coefficient-only elimination runs in full and the payload is never
+	// touched.
+	rc, err := NewRecoder(params.Field, 1, params.GenSize, params.PacketSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rc.Rank() < params.GenSize/2 {
+		p, _ := fe.Packet(1, r)
+		add(rc, p)
+		p.Release()
+	}
+	echo, _ := rc.Packet(r)
+	defer echo.Release()
+	pin("redundant Recoder.Add at partial rank", func() { add(rc, echo) })
+	pin("Recoder.Packet at partial rank", func() {
+		p, _ := rc.Packet(r)
+		p.Release()
+	})
+	for !rc.Complete() {
+		p, _ := fe.Packet(1, r)
+		add(rc, p)
+		p.Release()
+	}
+	pin("redundant Recoder.Add at full rank", func() { add(rc, echo) })
+
+	// Systematic fast path on fresh recoders: installing a whole
+	// generation, back-substitution included, costs only the arena
+	// copies, never an allocation.
 	sysPkts := make([]*Packet, params.GenSize)
 	for i := range sysPkts {
 		sysPkts[i], _ = fe.Systematic(2, i)
@@ -259,22 +351,17 @@ func TestDecodeHotPathAllocs(t *testing.T) {
 			p.Release()
 		}
 	}()
-	engines := make([]*genDecoder, 0, 101)
-	engines = append(engines, newGenDecoder(params.Field, params.GenSize, params.PacketSize))
-	for range 100 {
-		engines = append(engines, newGenDecoder(params.Field, params.GenSize, params.PacketSize))
+	fresh := make([]*Recoder, 101) // AllocsPerRun makes one warm-up call
+	for i := range fresh {
+		if fresh[i], err = NewRecoder(params.Field, 2, params.GenSize, params.PacketSize); err != nil {
+			t.Fatal(err)
+		}
 	}
 	i := 0
-	if n := testing.AllocsPerRun(100, func() {
-		e := engines[i]
-		i++
+	pin("systematic generation install", func() {
 		for _, p := range sysPkts {
-			if _, err := e.add(p); err != nil {
-				t.Fatal(err)
-			}
+			add(fresh[i], p)
 		}
-		e.reduce()
-	}); n != 0 {
-		t.Errorf("systematic generation decode: %v allocs/op, want 0", n)
-	}
+		i++
+	})
 }

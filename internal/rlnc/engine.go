@@ -2,16 +2,14 @@ package rlnc
 
 import (
 	"fmt"
-	"time"
 
 	"ncast/internal/gf"
 )
 
-// genDecoder is the batch-oriented elimination engine behind
-// ParallelFileDecoder: one generation's linear system, owned by exactly
-// one worker goroutine, with no locks and no per-packet allocation. It
-// differs from the progressive basis in codec.go in three ways that
-// matter for throughput:
+// genDecoder is the package's one elimination engine: one generation's
+// linear system with no locks and no per-packet allocation. Decoder and
+// Recoder wrap it behind a mutex; FileDecoder drives one per generation
+// directly. Three choices set its throughput:
 //
 //   - Contiguous storage. All h coefficient rows live in one []uint16
 //     and all h payload rows in one []byte arena, so elimination walks
@@ -21,34 +19,31 @@ import (
 //     (slot, factor) steps; the payload — three orders of magnitude
 //     wider — is touched only if the packet turns out innovative. A
 //     redundant packet, the steady state of a flooded overlay, costs
-//     zero payload work.
+//     zero payload work, and once the generation is complete it costs
+//     no field work at all.
 //   - Deferred back-substitution. Rows are kept in row-echelon form
 //     (not reduced); the upper triangle is cleared once, when the
 //     generation closes rank, using fully-reduced source rows so each
 //     coefficient update is a single store.
 //
-// Systematic packets (unit coefficient vectors, flagged on the wire)
-// install with no field work at all when their column is open: the only
-// payload op on the loss-free path is the copy into the arena.
+// Echelon rows span the same subspace as reduced ones, so a recoder can
+// mix them directly. Systematic packets (unit coefficient vectors,
+// flagged on the wire) install with no field work at all when their
+// column is open: the only payload op on the loss-free path is the copy
+// into the arena.
 type genDecoder struct {
 	f    gf.Field
 	h    int
 	size int
 	// coeffs and arena hold the installed rows by slot: row s occupies
-	// coeffs[s*h:(s+1)*h] and arena[s*size:(s+1)*size].
+	// coeffs[s*h:(s+1)*h] and arena[s*size:(s+1)*size]. Slots fill in
+	// arrival order, so rows [0, rank) are the live ones.
 	coeffs []uint16
 	arena  []byte
-	// pivotOf maps column -> slot (-1 when open); slotPiv maps slot ->
-	// leading column. Rows are in echelon form: row s is zero left of
-	// slotPiv[s] and 1 there.
+	// pivotOf maps column -> slot (-1 when open). Rows are in echelon
+	// form: the row in slot pivotOf[c] is zero left of c and 1 at c.
 	pivotOf []int32
-	slotPiv []int32
 	rank    int
-	// reduced is set once back-substitution has run (rank == h).
-	reduced bool
-	// firstAt is the first-packet arrival time, kept for generation
-	// latency metrics; zero when the decoder is uninstrumented.
-	firstAt time.Time
 
 	sc    []uint16   // staging coefficient vector
 	steps []elimStep // payload replay log for the current packet
@@ -61,6 +56,8 @@ type elimStep struct {
 	factor uint16
 }
 
+// newGenDecoder allocates an engine for h packets of size bytes; the
+// caller has validated both (Params.Validate).
 func newGenDecoder(f gf.Field, h, size int) *genDecoder {
 	e := &genDecoder{
 		f:       f,
@@ -69,7 +66,6 @@ func newGenDecoder(f gf.Field, h, size int) *genDecoder {
 		coeffs:  make([]uint16, h*h),
 		arena:   make([]byte, h*size),
 		pivotOf: make([]int32, h),
-		slotPiv: make([]int32, h),
 		sc:      make([]uint16, h),
 		steps:   make([]elimStep, 0, h),
 	}
@@ -91,10 +87,17 @@ func (e *genDecoder) add(p *Packet) (bool, error) {
 		return false, fmt.Errorf("rlnc: payload length %d, want %d", len(p.Payload), e.size)
 	}
 	if p.Sys {
-		idx := int(p.SysIdx)
-		if idx >= e.h {
-			return false, fmt.Errorf("rlnc: systematic index %d out of range [0,%d)", idx, e.h)
+		if int(p.SysIdx) >= e.h {
+			return false, fmt.Errorf("rlnc: systematic index %d out of range [0,%d)", p.SysIdx, e.h)
 		}
+	} else if len(p.Coeff) != e.h {
+		return false, fmt.Errorf("rlnc: coefficient length %d, want %d", len(p.Coeff), e.h)
+	}
+	if e.complete() {
+		return false, nil // full rank spans everything: redundant by definition
+	}
+	if p.Sys {
+		idx := int(p.SysIdx)
 		if e.pivotOf[idx] < 0 {
 			// Open column: install the identity row directly. No field
 			// ops — the copy below is the entire cost of the loss-free
@@ -102,8 +105,7 @@ func (e *genDecoder) add(p *Packet) (bool, error) {
 			s := e.rank
 			e.coeffRow(s)[idx] = 1
 			copy(e.arenaRow(s), p.Payload)
-			e.pivotOf[idx], e.slotPiv[s] = int32(s), int32(idx)
-			e.rank++
+			e.install(s, idx)
 			return true, nil
 		}
 		// Column already pivoted (duplicate or arrived after a coded row):
@@ -112,20 +114,17 @@ func (e *genDecoder) add(p *Packet) (bool, error) {
 		// packets.
 		clear(e.sc)
 		e.sc[idx] = 1
-		return e.eliminate(p.Payload)
+	} else {
+		copy(e.sc, p.Coeff)
 	}
-	if len(p.Coeff) != e.h {
-		return false, fmt.Errorf("rlnc: coefficient length %d, want %d", len(p.Coeff), e.h)
-	}
-	copy(e.sc, p.Coeff)
-	return e.eliminate(p.Payload)
+	return e.eliminate(p.Payload), nil
 }
 
 // eliminate forward-eliminates the staged coefficient vector e.sc against
 // the echelon rows, then replays the recorded steps on the payload only
 // if the packet was innovative. Maintaining echelon (not reduced) form
 // lets the scan stop at the packet's new leading column.
-func (e *genDecoder) eliminate(payload []byte) (bool, error) {
+func (e *genDecoder) eliminate(payload []byte) bool {
 	e.steps = e.steps[:0]
 	lead := -1
 	for c := 0; c < e.h; c++ {
@@ -144,7 +143,7 @@ func (e *genDecoder) eliminate(payload []byte) (bool, error) {
 		e.steps = append(e.steps, elimStep{slot: int(s), factor: v})
 	}
 	if lead < 0 {
-		return false, nil // redundant: not one byte of payload touched
+		return false // redundant: not one byte of payload touched
 	}
 	s := e.rank
 	dst := e.arenaRow(s)
@@ -159,9 +158,18 @@ func (e *genDecoder) eliminate(payload []byte) (bool, error) {
 		e.f.MulCoeff(crow, inv)
 		e.f.MulSlice(dst, dst, inv)
 	}
-	e.pivotOf[lead], e.slotPiv[s] = int32(s), int32(lead)
+	e.install(s, lead)
+	return true
+}
+
+// install records slot s as the pivot row of column col and, when that
+// closes rank, runs the one back-substitution pass.
+func (e *genDecoder) install(s, col int) {
+	e.pivotOf[col] = int32(s)
 	e.rank++
-	return true, nil
+	if e.complete() {
+		e.reduce()
+	}
 }
 
 // reduce runs the deferred back-substitution once the generation has
@@ -170,9 +178,6 @@ func (e *genDecoder) eliminate(payload []byte) (bool, error) {
 // unit vector — which means the coefficient-side update for each step is
 // a single store, and only the payload pays an AddMulSlice.
 func (e *genDecoder) reduce() {
-	if e.reduced || e.rank != e.h {
-		return
-	}
 	for c := e.h - 1; c > 0; c-- {
 		ps := int(e.pivotOf[c])
 		src := e.arenaRow(ps)
@@ -187,13 +192,13 @@ func (e *genDecoder) reduce() {
 			}
 		}
 	}
-	e.reduced = true
 }
 
 // source returns the decoded payload rows in source order. Valid only
-// after reduce(); rows alias the arena and must not be modified.
+// at full rank, when reduce has run; rows alias the arena and must not
+// be modified.
 func (e *genDecoder) source() ([][]byte, error) {
-	if !e.reduced {
+	if !e.complete() {
 		return nil, fmt.Errorf("rlnc: generation incomplete: rank %d of %d", e.rank, e.h)
 	}
 	out := make([][]byte, e.h)

@@ -118,12 +118,15 @@ func (fe *FileEncoder) Systematic(g, i int) (*Packet, error) {
 }
 
 // FileDecoder reassembles a content blob from coded packets spanning
-// multiple generations.
+// multiple generations. It drives one elimination engine per generation,
+// allocated on that generation's first packet, so a decoder for a large
+// blob does not front-load GenSize*PacketSize bytes per generation. It
+// is not safe for concurrent use.
 type FileDecoder struct {
-	params Params
-	length int
-	decs   []*Decoder
-	done   int
+	params  Params
+	length  int
+	engines []*genDecoder // nil until the generation's first packet
+	done    int
 }
 
 // NewFileDecoder prepares decoding of a blob of contentLen bytes coded
@@ -135,68 +138,68 @@ func NewFileDecoder(params Params, contentLen int) (*FileDecoder, error) {
 	if contentLen <= 0 {
 		return nil, fmt.Errorf("rlnc: invalid content length %d", contentLen)
 	}
-	n := params.Generations(contentLen)
-	fd := &FileDecoder{params: params, length: contentLen, decs: make([]*Decoder, n)}
-	for g := range fd.decs {
-		dec, err := NewDecoder(params.Field, uint32(g), params.GenSize, params.PacketSize)
-		if err != nil {
-			return nil, err
-		}
-		fd.decs[g] = dec
-	}
-	return fd, nil
+	return &FileDecoder{
+		params:  params,
+		length:  contentLen,
+		engines: make([]*genDecoder, params.Generations(contentLen)),
+	}, nil
 }
 
-// Add absorbs a coded packet for any generation of the blob.
+// Add absorbs a coded packet for any generation of the blob. The packet
+// is only read; the caller keeps ownership.
 func (fd *FileDecoder) Add(p *Packet) (innovative bool, err error) {
-	if int(p.Gen) >= len(fd.decs) {
-		return false, fmt.Errorf("rlnc: packet generation %d out of range [0,%d)", p.Gen, len(fd.decs))
+	if int(p.Gen) >= len(fd.engines) {
+		return false, fmt.Errorf("rlnc: packet generation %d out of range [0,%d)", p.Gen, len(fd.engines))
 	}
-	dec := fd.decs[p.Gen]
-	wasComplete := dec.Complete()
-	innovative, err = dec.Add(p)
-	if err != nil {
-		return false, err
+	e := fd.engines[p.Gen]
+	if e == nil {
+		e = newGenDecoder(fd.params.Field, fd.params.GenSize, fd.params.PacketSize)
+		fd.engines[p.Gen] = e
 	}
-	if !wasComplete && dec.Complete() {
+	innovative, err = e.add(p)
+	if innovative && e.complete() {
 		fd.done++
 	}
-	return innovative, nil
+	return innovative, err
 }
 
 // NumGenerations returns the generation count.
-func (fd *FileDecoder) NumGenerations() int { return len(fd.decs) }
+func (fd *FileDecoder) NumGenerations() int { return len(fd.engines) }
 
-// GenerationRank returns the current rank of generation g's decoder.
-func (fd *FileDecoder) GenerationRank(g int) int { return fd.decs[g].Rank() }
+// GenerationRank returns the current rank of generation g.
+func (fd *FileDecoder) GenerationRank(g int) int {
+	if e := fd.engines[g]; e != nil {
+		return e.rank
+	}
+	return 0
+}
 
 // GenerationComplete reports whether generation g has been decoded.
-func (fd *FileDecoder) GenerationComplete(g int) bool { return fd.decs[g].Complete() }
+func (fd *FileDecoder) GenerationComplete(g int) bool {
+	return fd.GenerationRank(g) == fd.params.GenSize
+}
 
 // Complete reports whether every generation has been decoded.
-func (fd *FileDecoder) Complete() bool { return fd.done == len(fd.decs) }
+func (fd *FileDecoder) Complete() bool { return fd.done == len(fd.engines) }
 
 // Progress returns the fraction of total rank gathered, in [0,1].
 func (fd *FileDecoder) Progress() float64 {
-	if len(fd.decs) == 0 {
-		return 1
-	}
 	total := 0
-	for _, d := range fd.decs {
-		total += d.Rank()
+	for g := range fd.engines {
+		total += fd.GenerationRank(g)
 	}
-	return float64(total) / float64(len(fd.decs)*fd.params.GenSize)
+	return float64(total) / float64(len(fd.engines)*fd.params.GenSize)
 }
 
 // Bytes reassembles and returns the original content. It errors with
 // ErrIncomplete until Complete() holds.
 func (fd *FileDecoder) Bytes() ([]byte, error) {
 	if !fd.Complete() {
-		return nil, fmt.Errorf("%w: %d of %d generations decoded", ErrIncomplete, fd.done, len(fd.decs))
+		return nil, fmt.Errorf("%w: %d of %d generations decoded", ErrIncomplete, fd.done, len(fd.engines))
 	}
 	out := make([]byte, 0, fd.length)
-	for _, d := range fd.decs {
-		src, err := d.Source()
+	for _, e := range fd.engines {
+		src, err := e.source()
 		if err != nil {
 			return nil, err
 		}

@@ -65,17 +65,6 @@ func (p *Packet) Clone() *Packet {
 	}
 }
 
-// ClonePooled returns a deep copy drawn from the shared packet pool —
-// the copy to hand to an ownership-taking sink (ParallelFileDecoder.Add)
-// when the original must stay usable. Release applies as usual.
-func (p *Packet) ClonePooled() *Packet {
-	q := getPacket(p.Gen, len(p.Coeff), len(p.Payload))
-	copy(q.Coeff, p.Coeff)
-	copy(q.Payload, p.Payload)
-	q.Sys, q.SysIdx = p.Sys, p.SysIdx
-	return q
-}
-
 // IsZero reports whether every coefficient is zero (a useless packet).
 func (p *Packet) IsZero() bool {
 	for _, c := range p.Coeff {

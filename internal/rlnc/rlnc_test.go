@@ -369,41 +369,43 @@ func TestInnovationProbabilityByField(t *testing.T) {
 func TestFileRoundTrip(t *testing.T) {
 	t.Parallel()
 	r := rand.New(rand.NewSource(9))
-	params := Params{Field: gf.F256, GenSize: 8, PacketSize: 64}
-	for _, size := range []int{1, 100, 512, 513, 8*64 - 1, 8 * 64, 8*64 + 1, 5000} {
-		content := make([]byte, size)
-		r.Read(content)
-		fe, err := NewFileEncoder(params, content)
-		if err != nil {
-			t.Fatalf("size %d: %v", size, err)
-		}
-		fd, err := NewFileDecoder(params, size)
-		if err != nil {
-			t.Fatalf("size %d: %v", size, err)
-		}
-		if fe.NumGenerations() != fd.NumGenerations() {
-			t.Fatalf("generation count mismatch: %d vs %d", fe.NumGenerations(), fd.NumGenerations())
-		}
-		guard := 0
-		for !fd.Complete() {
-			if guard++; guard > 100*params.GenSize*fe.NumGenerations() {
-				t.Fatalf("size %d: decode did not converge", size)
+	for _, f := range fields {
+		params := Params{Field: f, GenSize: 8, PacketSize: 64}
+		for _, size := range []int{1, 100, 512, 513, 8*64 - 1, 8 * 64, 8*64 + 1, 5000} {
+			content := make([]byte, size)
+			r.Read(content)
+			fe, err := NewFileEncoder(params, content)
+			if err != nil {
+				t.Fatalf("%s size %d: %v", f.Name(), size, err)
 			}
-			g := r.Intn(fe.NumGenerations())
-			p, err := fe.Packet(g, r)
+			fd, err := NewFileDecoder(params, size)
+			if err != nil {
+				t.Fatalf("%s size %d: %v", f.Name(), size, err)
+			}
+			if fe.NumGenerations() != fd.NumGenerations() {
+				t.Fatalf("generation count mismatch: %d vs %d", fe.NumGenerations(), fd.NumGenerations())
+			}
+			guard := 0
+			for !fd.Complete() {
+				if guard++; guard > 100*params.GenSize*fe.NumGenerations() {
+					t.Fatalf("%s size %d: decode did not converge", f.Name(), size)
+				}
+				g := r.Intn(fe.NumGenerations())
+				p, err := fe.Packet(g, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := fd.Add(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := fd.Bytes()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := fd.Add(p); err != nil {
-				t.Fatal(err)
+			if !bytes.Equal(got, content) {
+				t.Fatalf("%s size %d: content mismatch", f.Name(), size)
 			}
-		}
-		got, err := fd.Bytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, content) {
-			t.Fatalf("size %d: content mismatch", size)
 		}
 	}
 }
@@ -421,6 +423,15 @@ func TestFileDecoderProgress(t *testing.T) {
 	}
 	if _, err := fd.Bytes(); err == nil {
 		t.Fatal("Bytes() on incomplete decoder succeeded")
+	}
+	// Engines allocate on a generation's first packet; untouched
+	// generations still report rank 0.
+	p, _ := fe.Packet(1, r)
+	if _, err := fd.Add(p); err != nil {
+		t.Fatal(err)
+	}
+	if fd.GenerationRank(0) != 0 || fd.GenerationComplete(0) || fd.GenerationRank(1) != 1 {
+		t.Fatalf("ranks after one packet to gen 1: %d, %d", fd.GenerationRank(0), fd.GenerationRank(1))
 	}
 	last := 0.0
 	for !fd.Complete() {

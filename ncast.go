@@ -104,7 +104,9 @@ type Config struct {
 	SendDeadline time.Duration
 	// Seed drives the server's randomness (thread assignment).
 	Seed int64
-	// SourceInterval throttles the source pump (0 = backpressure only).
+	// SourceInterval paces the source pump: one round (a packet on every
+	// live thread) is due per interval on an absolute schedule, so short
+	// intervals hold their rate on an idle host (0 = backpressure only).
 	SourceInterval time.Duration
 	// LayerWeights, when non-empty, enables §5 priority-layered
 	// broadcasting: the content is split into len(LayerWeights) equal
@@ -124,11 +126,10 @@ type Config struct {
 	// quantiles, flow counters), which the server aggregates into the
 	// ClusterSnapshot fleet view. Zero disables fleet telemetry.
 	StatsInterval time.Duration
-	// DecodeWorkers sets each client's decode worker pool size: packets
-	// are sharded to workers by generation, so distinct generations run
-	// their Gaussian elimination concurrently while each generation
-	// stays single-threaded. 0 or 1 decodes inline on the receive loop;
-	// values above 1 help multi-generation sessions on multi-core hosts.
+	// DecodeWorkers is ignored: every client decodes inline on its
+	// receive loop.
+	//
+	// Deprecated: kept so existing callers compile; it selects nothing.
 	DecodeWorkers int
 	// Systematic makes the source emit each generation's GenSize source
 	// packets uncoded (flagged on the wire) before switching to random
@@ -343,8 +344,9 @@ func WithStatsInterval(d time.Duration) Option {
 	return func(c *Config) { c.StatsInterval = d }
 }
 
-// WithDecodeWorkers sets the per-client decode worker pool size (see
-// Config.DecodeWorkers).
+// WithDecodeWorkers sets Config.DecodeWorkers, which is ignored.
+//
+// Deprecated: kept so existing callers compile; it selects nothing.
 func WithDecodeWorkers(n int) Option {
 	return func(c *Config) { c.DecodeWorkers = n }
 }

@@ -102,6 +102,51 @@ func TestSnapshotConsistency(t *testing.T) {
 	}
 }
 
+// TestGaussObservedPerReceivedPacket pins the codec observability
+// invariant: every data packet a node counts as received passes through
+// exactly one timed Recoder.Add, so once the session has stopped the
+// elimination-time histogram's count equals the received counter. The
+// broadcast keeps pumping after each generation completes, so the
+// comparison also covers packets absorbed by complete generations.
+func TestGaussObservedPerReceivedPacket(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig()
+	s, err := NewSession(testContent(1536), cfg, WithLoss(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < 3; i++ {
+		c, err := s.AddClient(ctx)
+		if err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+		if err := c.Wait(ctx); err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+	}
+	// Close waits for every node's receive loop, so no packet is between
+	// the two counters when they are read.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.Snapshot()
+	var gauss uint64
+	for _, m := range snap.Metrics {
+		if m.Name == "ncast_rlnc_gauss_nanos" {
+			gauss += m.Count
+		}
+	}
+	recv := snap.SumMetric("ncast_node_received_total")
+	if recv <= snap.SumMetric("ncast_node_innovative_total") {
+		t.Fatalf("received %v: no redundant packets, so complete generations went unexercised", recv)
+	}
+	if float64(gauss) != recv {
+		t.Fatalf("ncast_rlnc_gauss_nanos count = %d, ncast_node_received_total = %v", gauss, recv)
+	}
+}
+
 // TestSnapshotDisabled checks the DisableObs path: no registry, but the
 // overlay health part of the snapshot still works.
 func TestSnapshotDisabled(t *testing.T) {

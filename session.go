@@ -328,7 +328,6 @@ func (s *Session) AddClient(ctx context.Context, opts ...ClientOption) (*Client,
 		ComplaintTimeout: s.cfg.ComplaintTimeout,
 		Behavior:         settings.behavior,
 		Seed:             settings.seed,
-		DecodeWorkers:    s.cfg.DecodeWorkers,
 		LinkSeq:          s.cfg.DatagramData,
 		Obs:              obs.NewNodeMetrics(s.obs, addr),
 		GenSink:          sink,

@@ -190,7 +190,6 @@ func Dial(ctx context.Context, serverAddr, listenAddr string, cfg Config, opts .
 		Degree:           settings.degree,
 		ComplaintTimeout: cfg.ComplaintTimeout,
 		Seed:             settings.seed,
-		DecodeWorkers:    cfg.DecodeWorkers,
 		LinkSeq:          cfg.DatagramData,
 		Obs:              obs.NewNodeMetrics(reg, ep.Addr()),
 		GenSink:          settings.genSink,

@@ -57,19 +57,23 @@ churn:
 lossy:
 	$(GO) test -race -run 'UDP|SamePort|Dual|Datagram|SplitSender|Lossy|Link' ./internal/transport ./internal/protocol ./internal/obs .
 
-# Short deterministic fuzz budgets over the wire decoders and the stream
-# framing; go's fuzzer accepts one -fuzz pattern per invocation, so each
-# target runs alone.
+# Short deterministic fuzz budgets over the wire decoders, the stream
+# framing and the GF kernels (every compiled kernel set against the
+# scalar reference); go's fuzzer accepts one -fuzz pattern per
+# invocation, so each target runs alone.
 fuzz:
 	$(GO) test ./internal/protocol -run xxx -fuzz FuzzDecodeControl -fuzztime 10s
 	$(GO) test ./internal/protocol -run xxx -fuzz FuzzDecodeData -fuzztime 10s
 	$(GO) test ./internal/protocol -run xxx -fuzz FuzzDecodeKeepalive -fuzztime 5s
 	$(GO) test ./internal/transport -run xxx -fuzz FuzzSplitSender -fuzztime 5s
+	$(GO) test ./internal/gf -run xxx -fuzz 'FuzzAddMulRows256$$' -fuzztime 10s
+	$(GO) test ./internal/gf -run xxx -fuzz 'FuzzAddMulSlice256$$' -fuzztime 5s
+	$(GO) test ./internal/gf -run xxx -fuzz 'FuzzAddMulSlice65536$$' -fuzztime 5s
 
 # Allocation guards: with sampling off, the traced emit/receive hot path
 # must allocate nothing beyond the untraced baseline, and the decode
-# steady state (redundant packets, systematic installs, recoder re-mix)
-# must be zero-alloc.
+# steady state (redundant packets, systematic installs, recoder re-mix,
+# the innovative packet that closes rank) must be zero-alloc.
 allocguard:
 	$(GO) test ./internal/protocol -run TestTracedHotPathAllocs -count=1
 	$(GO) test ./internal/protocol -run TestLinkHotPathAllocs -count=1
@@ -79,6 +83,8 @@ allocguard:
 # throughput divided by the same run's AddMulSlice(GF256) throughput
 # stays above the floor committed in BENCH_rlnc.json (gate.floor =
 # baseline x (1 - tolerance)), so host speed cancels out of the check.
+# The ratio depends on the kernel set (gate.accel, printed beside this
+# host's); re-base with `make bench` when dispatch changes.
 bench-gate:
 	$(GO) run ./cmd/ncast-perf -gate
 

@@ -3,14 +3,15 @@
 // regressions show up as a diff. It records the host (CPU model, nproc,
 // GOMAXPROCS) and, per field:
 //
-//   - bulk-kernel throughput (AddSlice / AddMulSlice) for the dispatched
+//   - bulk-kernel throughput (AddSlice / AddMulSlice, and the fused
+//     AddMulRows at the coded relay's 32×1 KiB shape) for the dispatched
 //     implementation and the scalar reference, with the speedup ratio;
 //   - steady-state codec emit cost (Encoder.Packet, Recoder.Packet) in
 //     ns/op and allocs/op — the zero-allocation budget of the pipeline;
-//   - coded FileDecoder throughput on a feed where two thirds of the
-//     packets are redundant at partial rank, and that throughput divided by the same
-//     run's AddMulSlice(GF256) throughput at the decode's packet size —
-//     a ratio in which host speed cancels out;
+//   - coded FileDecoder throughput on a feed where six packets in seven
+//     are redundant at partial rank, and that throughput divided by the
+//     same run's AddMulSlice(GF256) throughput at the decode's packet
+//     size — a ratio in which host speed cancels out;
 //   - systematic fast-path throughput: decode of a loss-free
 //     all-systematic feed, where elimination degenerates to copying.
 //
@@ -91,9 +92,11 @@ type sysDecodeRow struct {
 }
 
 // gateRow is the committed floor `-gate` checks file_decode.kernel_ratio
-// against: floor = baseline × (1 - tolerance).
+// against: floor = baseline × (1 - tolerance). Accel names the kernel
+// set the baseline ran on; the ratio is only comparable on the same one.
 type gateRow struct {
 	Metric    string  `json:"metric"`
+	Accel     string  `json:"accel"`
 	Baseline  float64 `json:"baseline"`
 	Tolerance float64 `json:"tolerance"`
 	Floor     float64 `json:"floor"`
@@ -105,12 +108,14 @@ type gateRow struct {
 // packets pay payload elimination again.
 const gateTolerance = 0.25
 
-// mbps converts a benchmark over size-byte operations to MB/s.
+// mbps converts a benchmark over size-byte operations to MB/s. It uses
+// the exact mean, not the whole nanoseconds of NsPerOp: a 1 KiB GFNI
+// multiply takes ~20 ns, where rounding alone moves the rate 5%.
 func mbps(r testing.BenchmarkResult, size int) float64 {
-	if r.NsPerOp() <= 0 {
+	if r.N <= 0 || r.T <= 0 {
 		return 0
 	}
-	return float64(size) / float64(r.NsPerOp()) * 1e9 / 1e6
+	return float64(size) * float64(r.N) / r.T.Seconds() / 1e6
 }
 
 // benchKernel measures one dst/src bulk kernel at the given payload size.
@@ -144,17 +149,50 @@ func kernelRows(size int) []kernelRow {
 			func(d, s []byte) { gf.F65536.AddMulSlice(d, s, c65536) },
 			func(d, s []byte) { gf.RefAddMulSlice(gf.F65536, d, s, c65536) }},
 	}
-	rows := make([]kernelRow, 0, len(cases))
+	rows := make([]kernelRow, 0, len(cases)+1)
 	for _, tc := range cases {
-		opt := benchKernel(size, tc.opt)
-		ref := benchKernel(size, tc.ref)
-		row := kernelRow{Name: tc.name, MBps: mbps(opt, size), RefMBps: mbps(ref, size)}
-		if row.RefMBps > 0 {
-			row.Speedup = row.MBps / row.RefMBps
-		}
-		rows = append(rows, row)
+		rows = append(rows, newKernelRow(tc.name, size, benchKernel(size, tc.opt), benchKernel(size, tc.ref)))
 	}
-	return rows
+	return append(rows, addMulRowsRow())
+}
+
+func newKernelRow(name string, size int, opt, ref testing.BenchmarkResult) kernelRow {
+	row := kernelRow{Name: name, MBps: mbps(opt, size), RefMBps: mbps(ref, size)}
+	if row.RefMBps > 0 {
+		row.Speedup = row.MBps / row.RefMBps
+	}
+	return row
+}
+
+// addMulRowsRow measures the fused kernel at the shape a relay recodes
+// with: 32 buffered 1 KiB rows into one packet. Throughput counts source
+// bytes; the reference is one scalar AddMulSlice per row.
+func addMulRowsRow() kernelRow {
+	const rows, n = 32, 1024
+	r := rand.New(rand.NewSource(6))
+	srcs := make([][]byte, rows)
+	cs := make([]uint16, rows)
+	for j := range srcs {
+		srcs[j] = make([]byte, n)
+		r.Read(srcs[j])
+		cs[j] = gf.F256.RandNonZero(r)
+	}
+	dst := make([]byte, n)
+	bench := func(fn func()) testing.BenchmarkResult {
+		return testing.Benchmark(func(b *testing.B) {
+			b.SetBytes(rows * n)
+			for i := 0; i < b.N; i++ {
+				fn()
+			}
+		})
+	}
+	opt := bench(func() { gf.F256.AddMulRows(dst, srcs, cs) })
+	ref := bench(func() {
+		for j, src := range srcs {
+			gf.RefAddMulSlice(gf.F256, dst, src, cs[j])
+		}
+	})
+	return newKernelRow("AddMulRows(GF256,32x1KiB)", rows*n, opt, ref)
 }
 
 // codecRows measures the pooled emit paths at h=16, 1 KiB payloads.
@@ -207,12 +245,20 @@ var decodeParams = rlnc.Params{Field: gf.F256, GenSize: 16, PacketSize: 1024}
 // enough to leave the caches the way a long broadcast does.
 const codedDecodeBytes = 4 << 20
 
+// echoesPerFresh is how many redundant re-mixes follow each fresh packet
+// in the coded feed. The gate's sensitivity to redundant packets paying
+// payload work rises with it: with the fused GFNI kernel that work is
+// cheap next to coefficient elimination, and at two echoes (68%
+// redundant) the regression moved the ratio only ~15%, inside the
+// tolerance; at six it moves it ~35%.
+const echoesPerFresh = 6
+
 // codedFeed builds seeded content plus the packet schedule a node with
-// three parents sees when two of them lag: every fresh coded packet is
-// followed by two re-mixes from a recoder holding only the packets sent
-// so far, which are redundant at partial rank. Two more fresh packets
-// per generation cover the rare non-innovative draw. About two thirds
-// of the feed is therefore absorbed by coefficient-only elimination.
+// seven parents sees when six of them lag: every fresh coded packet is
+// followed by echoesPerFresh re-mixes from a recoder holding only the
+// packets sent so far, which are redundant at partial rank. Two more
+// fresh packets per generation cover the rare non-innovative draw. About
+// 86% of the feed is therefore absorbed by coefficient-only elimination.
 func codedFeed(params rlnc.Params, contentBytes int) ([]byte, []*rlnc.Packet) {
 	content := make([]byte, contentBytes)
 	rand.New(rand.NewSource(3)).Read(content)
@@ -220,7 +266,7 @@ func codedFeed(params rlnc.Params, contentBytes int) ([]byte, []*rlnc.Packet) {
 	check(err)
 	r := rand.New(rand.NewSource(4))
 	gens := fe.NumGenerations()
-	pkts := make([]*rlnc.Packet, 0, gens*(3*params.GenSize+2))
+	pkts := make([]*rlnc.Packet, 0, gens*((1+echoesPerFresh)*params.GenSize+2))
 	for g := 0; g < gens; g++ {
 		lag, err := rlnc.NewRecoder(params.Field, uint32(g), params.GenSize, params.PacketSize)
 		check(err)
@@ -231,7 +277,7 @@ func codedFeed(params rlnc.Params, contentBytes int) ([]byte, []*rlnc.Packet) {
 			if i < params.GenSize {
 				_, err = lag.Add(p)
 				check(err)
-				for range 2 {
+				for range echoesPerFresh {
 					echo, _ := lag.Packet(r)
 					pkts = append(pkts, echo)
 				}
@@ -274,6 +320,7 @@ func fileDecode(content []byte, pkts []*rlnc.Packet) fileDecodeRow {
 		RedundantFrac: 1 - float64(gens*params.GenSize)/float64(len(pkts)),
 	}
 	for range 3 {
+		runtime.GC() // leave no decode garbage to collect under the kernel run
 		kernel := mbps(benchKernel(params.PacketSize, func(d, s []byte) {
 			gf.F256.AddMulSlice(d, s, c256)
 		}), params.PacketSize)
@@ -358,8 +405,8 @@ func runGate(baselinePath string) int {
 		check(fmt.Errorf("%s has no gate floor", baselinePath))
 	}
 	h := host()
-	fmt.Printf("gate host %q nproc=%d gomaxprocs=%d (baseline %q nproc=%d gomaxprocs=%d)\n",
-		h.CPUModel, h.NProc, h.GOMAXPROCS, base.Host.CPUModel, base.Host.NProc, base.Host.GOMAXPROCS)
+	fmt.Printf("gate host %q nproc=%d gomaxprocs=%d accel=%s (baseline %q nproc=%d gomaxprocs=%d accel=%s)\n",
+		h.CPUModel, h.NProc, h.GOMAXPROCS, h.Accel, base.Host.CPUModel, base.Host.NProc, base.Host.GOMAXPROCS, base.Gate.Accel)
 	failed := false
 	for _, c := range codecRows() {
 		status := "ok"
@@ -434,6 +481,7 @@ func main() {
 		sd.ContentBytes>>20, sd.Generations, sd.MBps)
 	rep.Gate = gateRow{
 		Metric:    "file_decode.kernel_ratio",
+		Accel:     h.Accel,
 		Baseline:  fd.KernelRatio,
 		Tolerance: gateTolerance,
 		Floor:     fd.KernelRatio * (1 - gateTolerance),

@@ -2,16 +2,13 @@
 
 package gf
 
-// Default dispatch: upgrade the kernels from the scalar reference to the
-// word-at-a-time generic implementations, then let the platform hook swap
-// in vector assembly where available. Building with -tags purego skips
-// this file entirely, pinning every kernel to the reference path.
+// Default dispatch: install the platform's preferred kernel set when the
+// CPU supports one, else the word-at-a-time generic set. Building with
+// -tags purego skips this file entirely, pinning every kernel to the
+// reference set.
 func init() {
-	accelName = "generic"
-	xorSlice = xorWords
-	// The GF(2^8) table row and the GF(2^16) log/exp loop are the pure-Go
-	// ceiling on measured hardware (a scalar four-nibble-table variant of
-	// the 16-bit multiply benched slower than log/exp here); only platform
-	// kernels beat them.
-	initPlatformKernels()
+	active = genericKernels
+	if sets := platformSets(); len(sets) > 0 {
+		active = sets[0]
+	}
 }

@@ -60,6 +60,12 @@ type Field interface {
 	MulSlice(dst, src []byte, c uint16)
 	// AddMulSlice sets dst[i] += c * src[i] symbol-wise.
 	AddMulSlice(dst, src []byte, c uint16)
+	// AddMulRows sets dst += cs[j] * srcs[j] for every row j, symbol-wise
+	// over the first len(dst) bytes of each row: the fused form of one
+	// AddMulSlice per row, which for GF(2^8) makes a single pass over
+	// dst. len(cs) must equal len(srcs), every row must be at least
+	// len(dst) long, and dst must not overlap any row.
+	AddMulRows(dst []byte, srcs [][]byte, cs []uint16)
 
 	// MulCoeff sets dst[j] = c * dst[j] over a coefficient vector of
 	// field elements (one element per uint16, unlike the byte-packed
@@ -72,8 +78,9 @@ type Field interface {
 
 // Accel names the bulk-kernel implementation selected at package load:
 // "purego" (scalar reference, forced by the purego build tag), "generic"
-// (word-at-a-time pure Go), or "avx2" (amd64 vector assembly).
-func Accel() string { return accelName }
+// (word-at-a-time pure Go), "gfni-avx512" or "avx2" (amd64 vector
+// assembly, in dispatch order), or "neon" (arm64 vector assembly).
+func Accel() string { return active.name }
 
 // Compile-time interface conformance checks.
 var (
@@ -87,6 +94,21 @@ var (
 func checkCoeffLen(dst, src []uint16) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("gf: coeff length mismatch: dst=%d src=%d", len(dst), len(src)))
+	}
+}
+
+// checkRows panics when AddMulRows is invoked with mismatched arguments.
+func checkRows(dst []byte, srcs [][]byte, cs []uint16, symbol int) {
+	if len(srcs) != len(cs) {
+		panic(fmt.Sprintf("gf: %d rows but %d coefficients", len(srcs), len(cs)))
+	}
+	for j, src := range srcs {
+		if len(src) < len(dst) {
+			panic(fmt.Sprintf("gf: row %d has length %d, shorter than dst=%d", j, len(src), len(dst)))
+		}
+	}
+	if symbol > 1 && len(dst)%symbol != 0 {
+		panic(fmt.Sprintf("gf: slice length %d not a multiple of symbol size %d", len(dst), symbol))
 	}
 }
 

@@ -50,7 +50,7 @@ func (GF2) RandNonZero(*rand.Rand) uint16 { return 1 }
 // AddSlice implements Field.
 func (GF2) AddSlice(dst, src []byte) {
 	checkLen(dst, src, 1)
-	xorSlice(dst, src)
+	active.xor(dst, src)
 }
 
 // MulSlice implements Field.
@@ -69,7 +69,13 @@ func (GF2) AddMulSlice(dst, src []byte, c uint16) {
 	if c&1 == 0 {
 		return
 	}
-	xorSlice(dst, src)
+	active.xor(dst, src)
+}
+
+// AddMulRows implements Field.
+func (GF2) AddMulRows(dst []byte, srcs [][]byte, cs []uint16) {
+	checkRows(dst, srcs, cs, 1)
+	addMulRowsEach(dst, srcs, cs, 1, active.xor, nil)
 }
 
 // MulCoeff implements Field.

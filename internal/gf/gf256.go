@@ -23,6 +23,7 @@ var (
 	inv256 [256]byte          // inv256[x] = x^-1; inv256[0] unused
 	mul256 [256][256]byte     // full product table
 	nib256 [256][32]byte      // nib256[c] = {c*n | n<16} ++ {c*(n<<4) | n<16}
+	aff256 [256]uint64        // aff256[c] = bit matrix of x -> c*x for GF2P8AFFINEQB
 	_      = buildTables256() // force table construction at package load
 )
 
@@ -58,6 +59,21 @@ func buildTables256() struct{} {
 			nib256[c][n] = mul256[c][n]
 			nib256[c][16+n] = mul256[c][n<<4]
 		}
+	}
+	// Affine bit matrices: multiplication by c is GF(2)-linear in the
+	// bits of x, c*x = XOR over set bits j of x of c*2^j. GF2P8AFFINEQB
+	// computes result bit i as parity(matrix.byte[7-i] & x), so byte
+	// 7-i of the matrix holds bit i of c*2^j at bit position j.
+	for c := 0; c < 256; c++ {
+		var m uint64
+		for i := 0; i < 8; i++ {
+			var row uint64
+			for j := 0; j < 8; j++ {
+				row |= uint64(mul256[c][1<<j]>>i&1) << j
+			}
+			m |= row << (8 * (7 - i))
+		}
+		aff256[c] = m
 	}
 	return struct{}{}
 }
@@ -104,7 +120,7 @@ func (GF256) Exp(i int) uint16 { return uint16(exp256[i%255]) }
 // AddSlice implements Field.
 func (GF256) AddSlice(dst, src []byte) {
 	checkLen(dst, src, 1)
-	xorSlice(dst, src)
+	active.xor(dst, src)
 }
 
 // MulSlice implements Field.
@@ -116,7 +132,7 @@ func (GF256) MulSlice(dst, src []byte, c uint16) {
 	case 1:
 		copy(dst, src)
 	default:
-		mulSlice256(dst, src, c&0xFF)
+		active.mul256(dst, src, c&0xFF)
 	}
 }
 
@@ -126,10 +142,16 @@ func (g GF256) AddMulSlice(dst, src []byte, c uint16) {
 	switch c & 0xFF {
 	case 0:
 	case 1:
-		xorSlice(dst, src)
+		active.xor(dst, src)
 	default:
-		addMulSlice256(dst, src, c&0xFF)
+		active.addMul256(dst, src, c&0xFF)
 	}
+}
+
+// AddMulRows implements Field.
+func (GF256) AddMulRows(dst []byte, srcs [][]byte, cs []uint16) {
+	checkRows(dst, srcs, cs, 1)
+	active.addMulRows256(dst, srcs, cs)
 }
 
 // MulCoeff implements Field.

@@ -82,7 +82,7 @@ func (GF65536) RandNonZero(r *rand.Rand) uint16 { return uint16(1 + r.Intn(65535
 // AddSlice implements Field.
 func (GF65536) AddSlice(dst, src []byte) {
 	checkLen(dst, src, 2)
-	xorSlice(dst, src)
+	active.xor(dst, src)
 }
 
 // MulSlice implements Field.
@@ -94,7 +94,7 @@ func (GF65536) MulSlice(dst, src []byte, c uint16) {
 	case 1:
 		copy(dst, src)
 	default:
-		mulSlice65536(dst, src, c)
+		active.mul65536(dst, src, c)
 	}
 }
 
@@ -104,10 +104,16 @@ func (GF65536) AddMulSlice(dst, src []byte, c uint16) {
 	switch c {
 	case 0:
 	case 1:
-		xorSlice(dst, src)
+		active.xor(dst, src)
 	default:
-		addMulSlice65536(dst, src, c)
+		active.addMul65536(dst, src, c)
 	}
+}
+
+// AddMulRows implements Field.
+func (GF65536) AddMulRows(dst []byte, srcs [][]byte, cs []uint16) {
+	checkRows(dst, srcs, cs, 2)
+	addMulRowsEach(dst, srcs, cs, 0xFFFF, active.xor, active.addMul65536)
 }
 
 // MulCoeff implements Field.

@@ -6,33 +6,94 @@ import (
 )
 
 // This file holds the data-plane kernel dispatch and every pure-Go kernel
-// implementation. The bulk slice operations on the three fields route
-// through the package-level function variables below, which are selected
-// once at package load:
+// implementation. A kernelSet is one implementation of every bulk slice
+// operation; the field methods call through the package-level set
+// `active`, which is chosen once at package load:
 //
-//   - default ("purego" tag absent): dispatch.go upgrades the XOR and
-//     GF(2^16) kernels to the word-at-a-time implementations here, and on
-//     amd64 with AVX2 the GF(2^8) kernels to the assembly in
-//     kernels_amd64.s (32 bytes per iteration via PSHUFB nibble tables).
-//   - with -tags purego: no init runs; the variables keep their scalar
-//     reference values and every kernel is plain bounds-checked Go.
+//   - with -tags purego: no init runs and `active` keeps refKernels, the
+//     plain bounds-checked scalar loops.
+//   - otherwise dispatch.go installs the first set platformSets offers
+//     (on amd64: GFNI+AVX-512, then AVX2; on arm64: NEON) and falls back
+//     to genericKernels, whose XOR is word-at-a-time.
 //
-// The reference kernels are compiled unconditionally so differential
-// tests (and the perf harness's speedup baseline) can always reach them.
+// The reference and generic sets are compiled unconditionally, and
+// compiledSets lists every set this binary can run on this CPU, so the
+// differential tests exercise each body directly rather than only the
+// one dispatch picked.
+
+// kernelSet is one implementation of the bulk kernels. The multiply
+// kernels assume c >= 2 and c < Order: the field methods peel off c==0
+// and c==1 (zero/copy/no-op) and reduce c before calling them.
+// addMulRows256 is the fused GF(2^8) AddMulRows body and takes
+// coefficients unreduced and unpeeled.
+type kernelSet struct {
+	name          string
+	xor           func(dst, src []byte)
+	mul256        func(dst, src []byte, c uint16)
+	addMul256     func(dst, src []byte, c uint16)
+	addMulRows256 func(dst []byte, srcs [][]byte, cs []uint16)
+	mul65536      func(dst, src []byte, c uint16)
+	addMul65536   func(dst, src []byte, c uint16)
+}
 
 var (
-	xorSlice         = refXORSlice
-	mulSlice256      = refMulSlice256
-	addMulSlice256   = refAddMulSlice256
-	mulSlice65536    = refMulSlice65536
-	addMulSlice65536 = refAddMulSlice65536
-	accelName        = "purego"
+	refKernels = kernelSet{
+		name:          "purego",
+		xor:           refXORSlice,
+		mul256:        refMulSlice256,
+		addMul256:     refAddMulSlice256,
+		addMulRows256: refAddMulRows256,
+		mul65536:      refMulSlice65536,
+		addMul65536:   refAddMulSlice65536,
+	}
+	// genericKernels upgrades XOR to word-at-a-time. The GF(2^8) table
+	// row and the GF(2^16) log/exp loop are the pure-Go ceiling on
+	// measured hardware (a scalar four-nibble-table variant of the 16-bit
+	// multiply benched slower than log/exp); only platform kernels beat
+	// them.
+	genericKernels = kernelSet{
+		name:          "generic",
+		xor:           xorWords,
+		mul256:        refMulSlice256,
+		addMul256:     refAddMulSlice256,
+		addMulRows256: genericAddMulRows256,
+		mul65536:      refMulSlice65536,
+		addMul65536:   refAddMulSlice65536,
+	}
+
+	// active is the dispatched set.
+	active = refKernels
 )
 
+// compiledSets returns every kernel set this binary holds that the CPU
+// can run: the reference and generic sets, then the platform's.
+func compiledSets() []kernelSet {
+	return append([]kernelSet{refKernels, genericKernels}, platformSets()...)
+}
+
+// addMulRowsEach is the unfused AddMulRows body: one single-row kernel
+// call per row, peeling c==0 (skip) and c==1 (XOR) like the field
+// methods. mask reduces a coefficient to the field; with mask 1 (GF(2))
+// addMul is never called.
+func addMulRowsEach(dst []byte, srcs [][]byte, cs []uint16, mask uint16,
+	xor func(dst, src []byte), addMul func(dst, src []byte, c uint16)) {
+	n := len(dst)
+	for i, src := range srcs {
+		switch c := cs[i] & mask; c {
+		case 0:
+		case 1:
+			xor(dst, src[:n])
+		default:
+			addMul(dst, src[:n], c)
+		}
+	}
+}
+
 // ---- Scalar reference kernels (the seed implementations) ----
-//
-// All multiply kernels assume c >= 2: the field methods peel off the c==0
-// and c==1 cases (zero/copy/no-op) before dispatching.
+
+func refAddMulRows256(dst []byte, srcs [][]byte, cs []uint16) {
+	addMulRowsEach(dst, srcs, cs, 0xFF, refXORSlice, refAddMulSlice256)
+}
 
 func refXORSlice(dst, src []byte) {
 	for i := range dst {
@@ -123,6 +184,10 @@ func RefAddMulSlice(f Field, dst, src []byte, c uint16) {
 }
 
 // ---- Word-at-a-time generic kernels ----
+
+func genericAddMulRows256(dst []byte, srcs [][]byte, cs []uint16) {
+	addMulRowsEach(dst, srcs, cs, 0xFF, xorWords, refAddMulSlice256)
+}
 
 // xorWords XORs eight bytes per iteration through uint64 loads; the
 // encoding/binary calls compile to single MOVQs.

@@ -51,7 +51,7 @@ TEXT ·mulSlice256AVX2(SB), NOSPLIT, $0-32
 	VBROADCASTI128 (DX), Y0           // low-nibble product table
 	VBROADCASTI128 16(DX), Y1         // high-nibble product table
 	MOVQ           $15, AX
-	MOVQ           AX, X2
+	VMOVQ          AX, X2
 	VPBROADCASTB   X2, Y2             // 0x0f byte mask
 
 mulloop:
@@ -80,7 +80,7 @@ TEXT ·addMulSlice256AVX2(SB), NOSPLIT, $0-32
 	VBROADCASTI128 (DX), Y0
 	VBROADCASTI128 16(DX), Y1
 	MOVQ           $15, AX
-	MOVQ           AX, X2
+	VMOVQ          AX, X2
 	VPBROADCASTB   X2, Y2
 
 addmulloop:
@@ -129,7 +129,7 @@ addmulloop:
 	VBROADCASTI128 96(DX), Y6     \
 	VBROADCASTI128 112(DX), Y7    \
 	MOVQ           $15, AX        \
-	MOVQ           AX, X8         \
+	VMOVQ          AX, X8         \
 	VPBROADCASTB   X8, Y8         \
 	VPCMPEQB       Y9, Y9, Y9     \
 	VPSRLW         $8, Y9, Y10    \
@@ -203,5 +203,164 @@ addmul65536loop:
 	ADDQ    $32, DI
 	SUBQ    $32, CX
 	JNZ     addmul65536loop
+	VZEROUPPER
+	RET
+
+// GF(2^8) multiplies through GFNI: VGF2P8AFFINEQB multiplies every byte
+// of a vector by the 8x8 bit matrix in its qword lane, and aff256[c] is
+// the matrix of x -> c*x under 0x11D, so one broadcast matrix multiplies
+// 64 bytes at once. Blocks of 256 bytes run unmasked; the final 0-255
+// bytes run 64 at a time under a byte mask (K1), whose masked-off lanes
+// are neither loaded nor stored.
+
+// GFNI_TAIL_MASK sets K1 to the low min(CX, 64) bits for 0 < CX < 256:
+// BZHI keeps all 64 bits when the index is 64 or more.
+#define GFNI_TAIL_MASK \
+	MOVQ  $-1, DX    \
+	BZHIQ CX, DX, DX \
+	KMOVQ DX, K1
+
+// func mulSlice256GFNI(dst, src []byte, mat uint64)
+// dst[i] = c * src[i] for len(dst) bytes; src is at least that long and
+// may equal dst.
+TEXT ·mulSlice256GFNI(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         src_base+24(FP), SI
+	VPBROADCASTQ mat+48(FP), Z8
+
+mulgfni256:
+	CMPQ           CX, $256
+	JB             mulgfnitail
+	VMOVDQU64      (SI), Z0
+	VMOVDQU64      64(SI), Z1
+	VMOVDQU64      128(SI), Z2
+	VMOVDQU64      192(SI), Z3
+	VGF2P8AFFINEQB $0, Z8, Z0, Z0
+	VGF2P8AFFINEQB $0, Z8, Z1, Z1
+	VGF2P8AFFINEQB $0, Z8, Z2, Z2
+	VGF2P8AFFINEQB $0, Z8, Z3, Z3
+	VMOVDQU64      Z0, (DI)
+	VMOVDQU64      Z1, 64(DI)
+	VMOVDQU64      Z2, 128(DI)
+	VMOVDQU64      Z3, 192(DI)
+	ADDQ           $256, SI
+	ADDQ           $256, DI
+	SUBQ           $256, CX
+	JMP            mulgfni256
+
+mulgfnitail:
+	TESTQ          CX, CX
+	JZ             mulgfnidone
+	GFNI_TAIL_MASK
+	VMOVDQU8.Z     (SI), K1, Z0
+	VGF2P8AFFINEQB $0, Z8, Z0, Z0
+	VMOVDQU8       Z0, K1, (DI)
+	ADDQ           $64, SI
+	ADDQ           $64, DI
+	SUBQ           $64, CX
+	JA             mulgfnitail
+
+mulgfnidone:
+	VZEROUPPER
+	RET
+
+// func addMulRows256GFNI(dst []byte, srcs [][]byte, cs []uint16)
+// dst ^= cs[j] * srcs[j] over every row j; len(srcs) == len(cs) > 0,
+// every row is at least len(dst) long, and no row overlaps dst. For each
+// block of dst the accumulators load dst once, take every row's product
+// (rows whose coefficient is zero mod 256 are skipped), and store once.
+//
+// Registers: DI dst block, SI byte offset of the block, CX bytes left,
+// R8/R9/R10 the srcs headers, row count and coefficients; R11 &aff256;
+// R12/R13/R14 the row cursors; AX coefficient/matrix address, BX row
+// pointer. Z0-Z3 accumulate, Z4-Z7 row data, Z8 the row's matrix.
+TEXT ·addMulRows256GFNI(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ srcs_base+24(FP), R8
+	MOVQ srcs_len+32(FP), R9
+	MOVQ cs_base+48(FP), R10
+	LEAQ ·aff256(SB), R11
+	XORQ SI, SI
+
+rowsblock:
+	CMPQ      CX, $256
+	JB        rowstail
+	VMOVDQU64 (DI), Z0
+	VMOVDQU64 64(DI), Z1
+	VMOVDQU64 128(DI), Z2
+	VMOVDQU64 192(DI), Z3
+	MOVQ      R8, R12
+	MOVQ      R10, R13
+	MOVQ      R9, R14
+
+rowsblockrow:
+	MOVBQZX        (R13), AX
+	TESTQ          AX, AX
+	JZ             rowsblocknext
+	VPBROADCASTQ   (R11)(AX*8), Z8
+	MOVQ           (R12), BX
+	VMOVDQU64      (BX)(SI*1), Z4
+	VMOVDQU64      64(BX)(SI*1), Z5
+	VMOVDQU64      128(BX)(SI*1), Z6
+	VMOVDQU64      192(BX)(SI*1), Z7
+	VGF2P8AFFINEQB $0, Z8, Z4, Z4
+	VGF2P8AFFINEQB $0, Z8, Z5, Z5
+	VGF2P8AFFINEQB $0, Z8, Z6, Z6
+	VGF2P8AFFINEQB $0, Z8, Z7, Z7
+	VPXORQ         Z4, Z0, Z0
+	VPXORQ         Z5, Z1, Z1
+	VPXORQ         Z6, Z2, Z2
+	VPXORQ         Z7, Z3, Z3
+
+rowsblocknext:
+	ADDQ $24, R12
+	ADDQ $2, R13
+	DECQ R14
+	JNZ  rowsblockrow
+
+	VMOVDQU64 Z0, (DI)
+	VMOVDQU64 Z1, 64(DI)
+	VMOVDQU64 Z2, 128(DI)
+	VMOVDQU64 Z3, 192(DI)
+	ADDQ      $256, DI
+	ADDQ      $256, SI
+	SUBQ      $256, CX
+	JMP       rowsblock
+
+rowstail:
+	TESTQ          CX, CX
+	JZ             rowsdone
+	GFNI_TAIL_MASK
+	VMOVDQU8.Z     (DI), K1, Z0
+	MOVQ           R8, R12
+	MOVQ           R10, R13
+	MOVQ           R9, R14
+
+rowstailrow:
+	MOVBQZX        (R13), AX
+	TESTQ          AX, AX
+	JZ             rowstailnext
+	VPBROADCASTQ   (R11)(AX*8), Z8
+	MOVQ           (R12), BX
+	ADDQ           SI, BX
+	VMOVDQU8.Z     (BX), K1, Z4
+	VGF2P8AFFINEQB $0, Z8, Z4, Z4
+	VPXORQ         Z4, Z0, Z0
+
+rowstailnext:
+	ADDQ $24, R12
+	ADDQ $2, R13
+	DECQ R14
+	JNZ  rowstailrow
+
+	VMOVDQU8 Z0, K1, (DI)
+	ADDQ     $64, DI
+	ADDQ     $64, SI
+	SUBQ     $64, CX
+	JA       rowstail
+
+rowsdone:
 	VZEROUPPER
 	RET

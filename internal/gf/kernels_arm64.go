@@ -3,12 +3,12 @@
 package gf
 
 // NEON kernels for arm64. AdvSIMD is architecturally baseline on arm64,
-// so no runtime feature detection is needed: the platform hook installs
-// the vector kernels unconditionally. The GF(2^8) multiply uses the same
-// low/high-nibble product-table split as the AVX2 path, looked up 16
-// lanes at a time with TBL (whose out-of-range-index-yields-zero rule
-// replaces PSHUFB's bit-7 convention); GF(2^16) shares the 128-byte
-// byte-plane tables (and their cross-call cache) with the amd64 kernels.
+// so no runtime feature detection is needed: the NEON set is always
+// offered. The GF(2^8) multiply uses the same low/high-nibble
+// product-table split as the AVX2 path, looked up 16 lanes at a time
+// with TBL (whose out-of-range-index-yields-zero rule replaces PSHUFB's
+// bit-7 convention); GF(2^16) shares the 128-byte byte-plane tables
+// (and their cross-call cache) with the amd64 kernels.
 
 //go:noescape
 func xorSliceNEON(dst, src *byte, n int)
@@ -25,14 +25,17 @@ func mulSlice65536NEON(dst, src *byte, n int, tab *[128]byte)
 //go:noescape
 func addMulSlice65536NEON(dst, src *byte, n int, tab *[128]byte)
 
-func initPlatformKernels() {
-	accelName = "neon"
-	xorSlice = xorSliceNeonWrap
-	mulSlice256 = mulSlice256NeonWrap
-	addMulSlice256 = addMulSlice256NeonWrap
-	mulSlice65536 = mulSlice65536NeonWrap
-	addMulSlice65536 = addMulSlice65536NeonWrap
+var neonKernels = kernelSet{
+	name:          "neon",
+	xor:           xorSliceNeonWrap,
+	mul256:        mulSlice256NeonWrap,
+	addMul256:     addMulSlice256NeonWrap,
+	addMulRows256: addMulRows256NeonWrap,
+	mul65536:      mulSlice65536NeonWrap,
+	addMul65536:   addMulSlice65536NeonWrap,
 }
+
+func platformSets() []kernelSet { return []kernelSet{neonKernels} }
 
 // The assembly routines process a positive multiple of 16 bytes; the
 // wrappers peel the tail onto the scalar reference loops.
@@ -67,6 +70,10 @@ func addMulSlice256NeonWrap(dst, src []byte, c uint16) {
 	for i := n; i < len(dst); i++ {
 		dst[i] ^= row[src[i]]
 	}
+}
+
+func addMulRows256NeonWrap(dst []byte, srcs [][]byte, cs []uint16) {
+	addMulRowsEach(dst, srcs, cs, 0xFF, xorSliceNeonWrap, addMulSlice256NeonWrap)
 }
 
 // vecCut65536 mirrors the amd64 cutover: below it the scalar log/exp

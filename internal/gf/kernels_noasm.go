@@ -1,7 +1,7 @@
-//go:build !amd64 && !arm64 && !purego
+//go:build purego || (!amd64 && !arm64)
 
 package gf
 
-// initPlatformKernels is a no-op on platforms without assembly kernels;
-// the generic word-at-a-time dispatch from dispatch.go stands.
-func initPlatformKernels() {}
+// platformSets offers no assembly kernels under the purego tag or on
+// platforms without them.
+func platformSets() []kernelSet { return nil }

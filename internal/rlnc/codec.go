@@ -141,12 +141,9 @@ func (e *Encoder) PayloadSize() int { return e.size }
 func (e *Encoder) Packet(r *rand.Rand) *Packet {
 	p := getPacket(e.gen, len(e.src), e.size)
 	for i := range p.Coeff {
-		c := e.f.Rand(r)
-		p.Coeff[i] = c
-		if c != 0 {
-			e.f.AddMulSlice(p.Payload, e.src[i], c)
-		}
+		p.Coeff[i] = e.f.Rand(r)
 	}
+	e.f.AddMulRows(p.Payload, e.src, p.Coeff)
 	return p
 }
 
@@ -210,14 +207,15 @@ func (rc *Recoder) Packet(r *rand.Rand) (*Packet, bool) {
 		return nil, false
 	}
 	p := getPacket(rc.gen, e.h, e.size)
-	for s := 0; s < e.rank; s++ {
+	rows, cs := e.rows[:e.rank], e.factors[:e.rank]
+	for s := range rows {
 		c := e.f.Rand(r)
-		if c == 0 {
-			continue
+		rows[s], cs[s] = e.arenaRow(s), c
+		if c != 0 {
+			e.f.AddMulCoeff(p.Coeff, e.coeffRow(s), c)
 		}
-		e.f.AddMulCoeff(p.Coeff, e.coeffRow(s), c)
-		e.f.AddMulSlice(p.Payload, e.arenaRow(s), c)
 	}
+	e.f.AddMulRows(p.Payload, rows, cs)
 	return p, true
 }
 

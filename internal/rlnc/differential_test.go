@@ -272,8 +272,10 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 
 // TestDecodeHotPathAllocs pins the decode-side allocation budget: with
 // warm pools, redundant packets — the flood steady state, whether they
-// arrive at partial or full rank — systematic installs, and the re-mix
-// of a partial-rank recoder run without allocating.
+// arrive at partial or full rank — systematic installs, the re-mix of a
+// partial-rank recoder, and the innovative coded packet that closes rank
+// (fused payload elimination plus back-substitution) run without
+// allocating.
 func TestDecodeHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -364,4 +366,47 @@ func TestDecodeHotPathAllocs(t *testing.T) {
 		}
 		i++
 	})
+
+	// Innovative coded packet closing rank on decoders holding h-1 coded
+	// rows: a full-width payload elimination followed by the whole
+	// back-substitution, both through AddMulRows. Every decoder gets the
+	// same packets, so one probe decides innovation for all.
+	coded := make([]*Packet, params.GenSize)
+	probe, err := NewDecoder(params.Field, 3, params.GenSize, params.PacketSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < params.GenSize; {
+		p, _ := fe.Packet(3, r)
+		if ok, err := probe.Add(p); err != nil || !ok {
+			p.Release()
+			continue
+		}
+		coded[n] = p
+		n++
+	}
+	defer func() {
+		for _, p := range coded {
+			p.Release()
+		}
+	}()
+	closing := make([]*Decoder, 101)
+	for i := range closing {
+		if closing[i], err = NewDecoder(params.Field, 3, params.GenSize, params.PacketSize); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range coded[:params.GenSize-1] {
+			add(closing[i], p)
+		}
+	}
+	i = 0
+	pin("innovative coded Decoder.Add closing rank", func() {
+		add(closing[i], coded[params.GenSize-1])
+		i++
+	})
+	for _, d := range closing {
+		if !d.Complete() {
+			t.Fatal("closing packet left a decoder short of full rank")
+		}
+	}
 }

@@ -16,15 +16,19 @@ import (
 //     cache lines instead of chasing per-row allocations.
 //   - Coefficient-first elimination. An incoming packet is forward-
 //     eliminated on its h-element coefficient vector alone, recording
-//     (slot, factor) steps; the payload — three orders of magnitude
-//     wider — is touched only if the packet turns out innovative. A
-//     redundant packet, the steady state of a flooded overlay, costs
-//     zero payload work, and once the generation is complete it costs
-//     no field work at all.
+//     each eliminating row and factor; the payload — three orders of
+//     magnitude wider — is touched only if the packet turns out
+//     innovative. A redundant packet, the steady state of a flooded
+//     overlay, costs zero payload work, and once the generation is
+//     complete it costs no field work at all.
 //   - Deferred back-substitution. Rows are kept in row-echelon form
 //     (not reduced); the upper triangle is cleared once, when the
 //     generation closes rank, using fully-reduced source rows so each
 //     coefficient update is a single store.
+//   - Fused payload updates. Every payload combination — the replayed
+//     elimination of an innovative packet, each row's back-substitution
+//     — is one gf.Field.AddMulRows call, which for GF(2^8) keeps the
+//     destination in registers across all source rows.
 //
 // Echelon rows span the same subspace as reduced ones, so a recoder can
 // mix them directly. Systematic packets (unit coefficient vectors,
@@ -45,15 +49,14 @@ type genDecoder struct {
 	pivotOf []int32
 	rank    int
 
-	sc    []uint16   // staging coefficient vector
-	steps []elimStep // payload replay log for the current packet
-}
-
-// elimStep records one forward-elimination against an installed row, to
-// be replayed on the payload only for innovative packets.
-type elimStep struct {
-	slot   int
-	factor uint16
+	sc []uint16 // staging coefficient vector
+	// rows and factors are the AddMulRows argument scratch (capacity h):
+	// the payload replay log of the current packet in eliminate, the
+	// reduced rows right of the pivot in reduce, and the mix in
+	// Recoder.Packet. They are per-engine so the hot paths never
+	// allocate, and hold views of arena rows, never copies.
+	rows    [][]byte
+	factors []uint16
 }
 
 // newGenDecoder allocates an engine for h packets of size bytes; the
@@ -67,7 +70,8 @@ func newGenDecoder(f gf.Field, h, size int) *genDecoder {
 		arena:   make([]byte, h*size),
 		pivotOf: make([]int32, h),
 		sc:      make([]uint16, h),
-		steps:   make([]elimStep, 0, h),
+		rows:    make([][]byte, h),
+		factors: make([]uint16, h),
 	}
 	for i := range e.pivotOf {
 		e.pivotOf[i] = -1
@@ -121,11 +125,12 @@ func (e *genDecoder) add(p *Packet) (bool, error) {
 }
 
 // eliminate forward-eliminates the staged coefficient vector e.sc against
-// the echelon rows, then replays the recorded steps on the payload only
-// if the packet was innovative. Maintaining echelon (not reduced) form
-// lets the scan stop at the packet's new leading column.
+// the echelon rows, then replays the recorded rows and factors on the
+// payload, as one AddMulRows call, only if the packet was innovative.
+// Maintaining echelon (not reduced) form lets the scan stop at the
+// packet's new leading column.
 func (e *genDecoder) eliminate(payload []byte) bool {
-	e.steps = e.steps[:0]
+	rows, factors := e.rows[:0], e.factors[:0]
 	lead := -1
 	for c := 0; c < e.h; c++ {
 		v := e.sc[c]
@@ -140,7 +145,8 @@ func (e *genDecoder) eliminate(payload []byte) bool {
 		// Row s is zero left of c and 1 at c, so eliminating from offset
 		// c touches only the live suffix and zeroes sc[c] exactly.
 		e.f.AddMulCoeff(e.sc[c:], e.coeffRow(int(s))[c:], v)
-		e.steps = append(e.steps, elimStep{slot: int(s), factor: v})
+		rows = append(rows, e.arenaRow(int(s)))
+		factors = append(factors, v)
 	}
 	if lead < 0 {
 		return false // redundant: not one byte of payload touched
@@ -148,9 +154,7 @@ func (e *genDecoder) eliminate(payload []byte) bool {
 	s := e.rank
 	dst := e.arenaRow(s)
 	copy(dst, payload)
-	for _, st := range e.steps {
-		e.f.AddMulSlice(dst, e.arenaRow(st.slot), st.factor)
-	}
+	e.f.AddMulRows(dst, rows, factors)
 	crow := e.coeffRow(s)
 	copy(crow, e.sc)
 	if v := crow[lead]; v != 1 {
@@ -173,24 +177,20 @@ func (e *genDecoder) install(s, col int) {
 }
 
 // reduce runs the deferred back-substitution once the generation has
-// closed rank, clearing the upper triangle. Columns are processed in
-// descending order so the source row of every elimination is already a
-// unit vector — which means the coefficient-side update for each step is
-// a single store, and only the payload pays an AddMulSlice.
+// closed rank, clearing the upper triangle. Pivot rows are processed in
+// descending column order, so every row right of the current pivot is
+// already reduced to a unit vector: the row's coefficient suffix is
+// exactly the combination of those rows to subtract, the payload update
+// is one AddMulRows over them, and the coefficient update is a clear.
+// rows[k] holds column k's pivot row once that row is reduced.
 func (e *genDecoder) reduce() {
-	for c := e.h - 1; c > 0; c-- {
-		ps := int(e.pivotOf[c])
-		src := e.arenaRow(ps)
-		for r := 0; r < e.h; r++ {
-			if r == ps {
-				continue
-			}
-			crow := e.coeffRow(r)
-			if v := crow[c]; v != 0 {
-				e.f.AddMulSlice(e.arenaRow(r), src, v)
-				crow[c] = 0
-			}
-		}
+	rows := e.rows[:e.h]
+	for c := e.h - 1; c >= 0; c-- {
+		s := int(e.pivotOf[c])
+		dst, right := e.arenaRow(s), e.coeffRow(s)[c+1:]
+		e.f.AddMulRows(dst, rows[c+1:], right)
+		clear(right)
+		rows[c] = dst
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -80,9 +81,14 @@ type Node struct {
 	cfg NodeConfig
 	rng *rand.Rand
 
-	mu         sync.Mutex
-	id         uint64
-	joined     bool
+	mu sync.Mutex
+	// member is the membership lifecycle. timers holds the driver's
+	// deadlines, one slot per kind: the Member's, then the complaint and
+	// heartbeat cadences; wake tells the driver a deadline moved.
+	member     Member
+	timers     [numNodeTimers]MemberTimer
+	wake       chan struct{}
+	started    time.Time // when Run began: the phase of firstReport
 	field      gf.Field
 	params     rlnc.Params
 	totalGens  int
@@ -123,16 +129,6 @@ type Node struct {
 	// issued, for the periodic stats report.
 	complaintsSent uint64
 	leaseSent      uint64
-	// leaseEvery is the tracker-announced lease renewal interval (zero
-	// when the tracker runs no lease sweep); statsEvery is the announced
-	// telemetry reporting interval (zero disables reporting).
-	leaseEvery time.Duration
-	statsEvery time.Duration
-	// leaving is set by Leave; left once leftCh is closed. Together they
-	// make MsgGoodbyeAck handling idempotent: an unsolicited or duplicate
-	// ack must neither tear down Run nor double-close leftCh.
-	leaving bool
-	left    bool
 	// replay holds, per generation, the fixed packet an EntropyAttacker
 	// replays instead of re-mixing.
 	replay map[uint32]*rlnc.Packet
@@ -141,6 +137,13 @@ type Node struct {
 	completeCh chan struct{}
 	leftCh     chan struct{}
 }
+
+// The node's own timer kinds, after the Member's.
+const (
+	timerComplain = numTimerKinds + iota
+	timerBeat
+	numNodeTimers
+)
 
 // traceState is the per-generation trace merge state: the trace ID the
 // node adopted (first seen wins) and the node's hop depth under that
@@ -176,6 +179,7 @@ func NewNode(ep transport.Endpoint, cfg NodeConfig) *Node {
 		lastRecv:   make(map[int]time.Time),
 		seqOf:      make(map[int]uint32),
 		links:      obs.NewLinkTracker(0),
+		wake:       make(chan struct{}, 1),
 		joinedCh:   make(chan error, 1),
 		completeCh: make(chan struct{}),
 		leftCh:     make(chan struct{}),
@@ -186,7 +190,7 @@ func NewNode(ep transport.Endpoint, cfg NodeConfig) *Node {
 func (n *Node) ID() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.id
+	return n.member.ID()
 }
 
 // Joined resolves once the tracker accepts or rejects the hello.
@@ -199,18 +203,7 @@ func (n *Node) Completed() <-chan struct{} { return n.completeCh }
 func (n *Node) Left() <-chan struct{} { return n.leftCh }
 
 // Progress returns the fraction of total rank gathered in [0,1].
-func (n *Node) Progress() float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.totalGens == 0 {
-		return 0
-	}
-	rank := 0
-	for _, rc := range n.recoders {
-		rank += rc.Rank()
-	}
-	return float64(rank) / float64(n.totalGens*n.params.GenSize)
-}
+func (n *Node) Progress() float64 { return n.Health().Progress }
 
 // Stats returns (received, innovative) packet counts.
 func (n *Node) Stats() (received, innovative int) {
@@ -228,8 +221,8 @@ func (n *Node) Health() obs.NodeHealth {
 		rank += rc.Rank()
 	}
 	h := obs.NodeHealth{
-		ID:         n.id,
-		Joined:     n.joined,
+		ID:         n.member.ID(),
+		Joined:     n.member.State().Admitted(),
 		Degree:     len(n.threads),
 		Rank:       rank,
 		MaxRank:    n.totalGens * n.params.GenSize,
@@ -344,55 +337,36 @@ func (n *Node) layerBytesLocked(l int) ([]byte, error) {
 
 // Run joins the session and processes messages until the context is
 // cancelled or the node leaves gracefully. It always sends the hello
-// itself; callers watch Joined / Completed / Left.
+// itself; callers watch Joined / Completed / Left. Every clock — hello and
+// goodbye retries, lease renewals, stats reports, complaints, heartbeats
+// and probes — runs on one driver goroutine that exits before Run returns.
 func (n *Node) Run(ctx context.Context) error {
-	// Scope the helper loops (heartbeats, complaints) to Run's lifetime:
-	// after a graceful leave Run returns, and a departed node must stop
-	// proving liveness to its former children.
+	// Scope the driver to Run's lifetime: after a graceful leave Run
+	// returns, and a departed node must stop proving liveness to its
+	// former children and stop re-sending its goodbye.
 	ctx, cancel := context.WithCancel(ctx)
+	var wg sync.WaitGroup
+	defer wg.Wait()
 	defer cancel()
 
-	hello, err := EncodeControl(MsgHello, Hello{Addr: n.ep.Addr(), Degree: n.cfg.Degree})
-	if err != nil {
-		return err
+	now := time.Now()
+	n.mu.Lock()
+	n.started = now
+	hello := n.member.Join(now)
+	n.armLocked(hello)
+	if ct := n.cfg.ComplaintTimeout; ct > 0 {
+		n.timers[timerComplain].Due = now.Add(ct / 2)
+		n.timers[timerBeat].Due = now.Add(ct / 4)
 	}
-	if err := n.ep.Send(ctx, n.cfg.TrackerAddr, hello); err != nil {
+	n.mu.Unlock()
+	if err := n.sendTracker(ctx, hello.Send, 0); err != nil {
 		return fmt.Errorf("protocol: hello: %w", err)
 	}
-	// Retry the hello whenever the node is un-joined: over lossy links
-	// either the hello or the welcome can vanish, and after an expulsion
-	// the re-join hello can be lost too. The tracker answers duplicates
-	// idempotently, so over-sending is harmless.
+	wg.Add(1)
 	go func() {
-		ticker := time.NewTicker(500 * time.Millisecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-			}
-			n.mu.Lock()
-			joined := n.joined
-			n.mu.Unlock()
-			if !joined {
-				_ = n.ep.Send(ctx, n.cfg.TrackerAddr, hello) //nolint:errcheck // retried
-			}
-		}
+		defer wg.Done()
+		n.drive(ctx)
 	}()
-
-	// The complaint and heartbeat tickers run only while the context
-	// lives.
-	if n.cfg.ComplaintTimeout > 0 {
-		go n.complaintLoop(ctx)
-		go n.heartbeatLoop(ctx)
-		if n.cfg.LinkSeq {
-			go n.probeLoop(ctx)
-		}
-	}
-	// The lease and stats loops idle until a welcome announces intervals.
-	go n.leaseLoop(ctx)
-	go n.statsLoop(ctx)
 
 	for {
 		from, frame, err := n.ep.Recv(ctx)
@@ -421,72 +395,137 @@ func (n *Node) Run(ctx context.Context) error {
 	}
 }
 
-func (n *Node) handleControl(ctx context.Context, typ MsgType, payload json.RawMessage) (done bool, err error) {
-	switch typ {
-	case MsgWelcome:
-		var w Welcome
-		if err := json.Unmarshal(payload, &w); err != nil {
-			return false, nil
-		}
-		if err := n.applyWelcome(w); err != nil {
-			select {
-			case n.joinedCh <- err:
-			default: // re-join welcome; nobody is waiting
+// drive is the node's one timer goroutine: it sleeps until the earliest
+// deadline in n.timers, or until woken because one moved, then runs
+// whatever is due.
+func (n *Node) drive(ctx context.Context) {
+	for {
+		wait := time.Hour
+		n.mu.Lock()
+		for _, mt := range n.timers {
+			if !mt.Due.IsZero() && time.Until(mt.Due) < wait {
+				wait = time.Until(mt.Due)
 			}
-			return true, err
 		}
+		n.mu.Unlock()
+		t := time.NewTimer(wait)
 		select {
-		case n.joinedCh <- nil:
-		default: // re-join welcome; nobody is waiting
+		case <-ctx.Done():
+		case <-n.wake:
+		case <-t.C:
 		}
+		t.Stop()
+		if ctx.Err() != nil {
+			return
+		}
+		n.fire(ctx, time.Now())
+	}
+}
+
+// fire runs every deadline due at now.
+func (n *Node) fire(ctx context.Context, now time.Time) {
+	for k := range numNodeTimers {
+		n.mu.Lock()
+		t := n.timers[k]
+		if t.Due.IsZero() || t.Due.After(now) {
+			n.mu.Unlock()
+			continue
+		}
+		switch k {
+		case timerComplain:
+			n.timers[k].Due = now.Add(n.cfg.ComplaintTimeout / 2)
+			n.mu.Unlock()
+			n.complain(ctx, now)
+		case timerBeat:
+			n.timers[k].Due = now.Add(n.cfg.ComplaintTimeout / 4)
+			n.mu.Unlock()
+			n.beat(ctx)
+		default:
+			n.timers[k] = MemberTimer{} // fired; a live one is re-armed below
+			out := n.member.Fire(now, t)
+			n.armLocked(out)
+			if out.Send == MsgLease {
+				n.leaseSent++
+			}
+			id := n.member.ID()
+			n.mu.Unlock()
+			_ = n.sendTracker(ctx, out.Send, id) //nolint:errcheck // the timer re-sends
+		}
+	}
+}
+
+// armLocked files a Member output's timers in the driver's deadline set,
+// replacing any earlier timer of the same kind, and wakes the driver.
+// Callers hold n.mu.
+func (n *Node) armLocked(out MemberOutput) {
+	for _, t := range out.Timers[:out.NTimers] {
+		n.timers[t.Kind] = t
+	}
+	select {
+	case n.wake <- struct{}{}:
+	default:
+	}
+}
+
+// sendTracker sends the tracker a control message of type typ (none when
+// zero), building its payload; id is the member's id when the message was
+// decided on.
+func (n *Node) sendTracker(ctx context.Context, typ MsgType, id uint64) error {
+	var msg []byte
+	var err error
+	switch typ {
+	case 0:
+		return nil
+	case MsgHello:
+		msg, err = EncodeControl(typ, Hello{Addr: n.ep.Addr(), Degree: n.cfg.Degree})
+	case MsgLease:
+		msg, err = EncodeControl(typ, Lease{ID: id})
+	case MsgGoodbye:
+		msg, err = EncodeControl(typ, Goodbye{ID: id})
+	case MsgCongested:
+		msg, err = EncodeControl(typ, Congested{ID: id})
+	case MsgUncongested:
+		msg, err = EncodeControl(typ, Uncongested{ID: id})
+	case MsgStatsReport:
+		msg, err = EncodeControl(typ, n.buildStatsReport())
+	}
+	if err != nil {
+		return err
+	}
+	return n.ep.Send(ctx, n.cfg.TrackerAddr, msg)
+}
+
+// firstReport is the Node's welcome jitter: the first lease and stats
+// report land on the 250 ms grid from Run's start, as they always have —
+// not at the welcome itself, while the tracker is still admitting the
+// joiners behind this one — and never later than one interval.
+func (n *Node) firstReport(_ TimerKind, every time.Duration) time.Duration {
+	const grid = 250 * time.Millisecond
+	return min(every, grid-time.Since(n.started)%grid)
+}
+
+func (n *Node) handleControl(ctx context.Context, typ MsgType, payload json.RawMessage) (done bool, err error) {
+	n.mu.Lock()
+	out, ok := n.member.Control(time.Now(), typ, payload, n.firstReport)
+	if ok {
+		return n.membership(ctx, out)
+	}
+	n.mu.Unlock()
+	switch typ {
 	case MsgRedirect:
 		var r Redirect
 		if err := json.Unmarshal(payload, &r); err != nil {
 			return false, nil
 		}
 		n.applyRedirect(ctx, r)
-	case MsgGoodbyeAck:
-		// Only a node that actually said good-bye may act on the ack: a
-		// stale or forged ack to a node that never called Leave would
-		// otherwise tear down Run, and a duplicate ack would panic on the
-		// second close of leftCh.
-		n.mu.Lock()
-		acked := n.leaving && !n.left
-		if acked {
-			n.left = true
-		}
-		n.mu.Unlock()
-		if !acked {
-			return false, nil
-		}
-		close(n.leftCh)
-		return true, nil
-	case MsgExpelled:
-		// A child's complaint got this node repaired away while it was
-		// alive (slow link, lost redirect). Re-join with a fresh hello:
-		// decoded generations survive, only the overlay position resets.
-		n.mu.Lock()
-		n.joined = false
-		n.threads = nil
-		n.childOf = make(map[int]string)
-		n.parentOf = make(map[int]string)
-		n.lastRecv = make(map[int]time.Time)
-		n.mu.Unlock()
-		hello, err := EncodeControl(MsgHello, Hello{Addr: n.ep.Addr(), Degree: n.cfg.Degree})
-		if err == nil {
-			_ = n.ep.Send(ctx, n.cfg.TrackerAddr, hello) //nolint:errcheck // best-effort
-		}
 	case MsgThreadDropped:
 		var td ThreadDropped
 		if err := json.Unmarshal(payload, &td); err != nil {
 			return false, nil
 		}
 		n.mu.Lock()
-		for i, th := range n.threads {
-			if th == td.Thread {
-				n.threads = append(n.threads[:i], n.threads[i+1:]...)
-				break
-			}
+		if i := slices.Index(n.threads, td.Thread); i >= 0 {
+			n.threads = slices.Delete(n.threads, i, i+1)
 		}
 		delete(n.childOf, td.Thread)
 		delete(n.lastRecv, td.Thread)
@@ -498,14 +537,7 @@ func (n *Node) handleControl(ctx context.Context, typ MsgType, payload json.RawM
 			return false, nil
 		}
 		n.mu.Lock()
-		present := false
-		for _, th := range n.threads {
-			if th == ta.Thread {
-				present = true
-				break
-			}
-		}
-		if !present {
+		if !slices.Contains(n.threads, ta.Thread) {
 			n.threads = append(n.threads, ta.Thread)
 		}
 		n.lastRecv[ta.Thread] = time.Now()
@@ -517,24 +549,51 @@ func (n *Node) handleControl(ctx context.Context, typ MsgType, payload json.RawM
 			// Serve the displaced child immediately with a catch-up burst.
 			n.applyRedirect(ctx, Redirect{Thread: ta.Thread, ChildAddr: ta.ChildAddr})
 		}
-	case MsgError:
-		var e ErrorMsg
-		if err := json.Unmarshal(payload, &e); err != nil {
-			return false, nil
-		}
-		n.mu.Lock()
-		joined := n.joined
-		n.mu.Unlock()
-		if !joined {
-			rejection := fmt.Errorf("protocol: join rejected: %s", e.Reason)
-			n.joinedCh <- rejection
-			return true, rejection
-		}
 	}
 	return false, nil
 }
 
-func (n *Node) applyWelcome(w Welcome) error {
+// membership acts on a Member output produced under n.mu, which it
+// releases: it applies an accepted welcome, resets the overlay position
+// on expulsion, and reports whether Run is done.
+func (n *Node) membership(ctx context.Context, out MemberOutput) (done bool, err error) {
+	switch out.Event {
+	case EventJoined:
+		err = n.applyWelcomeLocked(out.Welcome)
+	case EventExpelled:
+		// A child's complaint got this node repaired away while it was
+		// alive (slow link, lost redirect); the Member re-hellos. Decoded
+		// generations survive, only the overlay position resets.
+		n.threads = nil
+		n.childOf = make(map[int]string)
+		n.parentOf = make(map[int]string)
+		n.lastRecv = make(map[int]time.Time)
+	}
+	if err == nil {
+		n.armLocked(out)
+	}
+	n.mu.Unlock()
+	switch out.Event {
+	case EventLeft:
+		close(n.leftCh)
+		return true, nil
+	case EventRejected:
+		err = fmt.Errorf("protocol: join rejected: %s", out.Reason)
+		fallthrough
+	case EventJoined:
+		select {
+		case n.joinedCh <- err:
+		default: // an earlier welcome fills the slot; nobody is waiting
+		}
+		return err != nil, err
+	}
+	_ = n.sendTracker(ctx, out.Send, 0) //nolint:errcheck // the hello timer re-sends
+	return false, nil
+}
+
+// applyWelcomeLocked installs the session an accepted welcome announces.
+// Callers hold n.mu.
+func (n *Node) applyWelcomeLocked(w *Welcome) error {
 	params, err := w.Session.Params()
 	if err != nil {
 		return err
@@ -546,10 +605,6 @@ func (n *Node) applyWelcome(w Welcome) error {
 	if err != nil {
 		return err
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.id = w.ID
-	n.joined = true
 	n.field = params.Field
 	n.params = params
 	n.contentLen = w.Session.ContentLen
@@ -560,8 +615,6 @@ func (n *Node) applyWelcome(w Welcome) error {
 		n.genSet[g] = true
 	}
 	n.totalGens = len(genIDs)
-	n.leaseEvery = time.Duration(w.LeaseMillis) * time.Millisecond
-	n.statsEvery = time.Duration(w.StatsMillis) * time.Millisecond
 	if n.lifecycle == nil {
 		n.lifecycle = obs.NewGenTracker(n.ep.Addr(), params.GenSize, n.cfg.Obs, n.cfg.GenSink)
 	}
@@ -636,7 +689,7 @@ func (n *Node) applyRedirect(ctx context.Context, r Redirect) {
 
 func (n *Node) handleData(ctx context.Context, from string, frame []byte) {
 	n.mu.Lock()
-	if !n.joined {
+	if !n.member.State().Admitted() {
 		n.mu.Unlock()
 		return
 	}
@@ -781,7 +834,7 @@ func (n *Node) absorb(ctx context.Context, f gf.Field, th int, from string, emit
 		fwdTC = n.forwardTraceLocked(out.Gen)
 		fwdSeq = n.nextSeqLocked(th)
 	}
-	id := n.id
+	id := n.member.ID()
 	n.mu.Unlock()
 	p.Release()
 
@@ -882,7 +935,7 @@ func (n *Node) handleKeepalive(ctx context.Context, from string, frame []byte) {
 	th := ki.Thread
 	now := time.Now()
 	n.mu.Lock()
-	if !n.joined {
+	if !n.member.State().Admitted() {
 		n.mu.Unlock()
 		return
 	}
@@ -907,179 +960,66 @@ func (n *Node) handleKeepalive(ctx context.Context, from string, frame []byte) {
 	}
 }
 
-// probeLoop measures RTT over the data path: it periodically sends an
-// echo probe to each current parent, on the same plane coded frames ride
-// (LinkSeq sessions only). The parent's echo closes the loop in
-// handleKeepalive. All behaviors probe — a probe reveals nothing about
-// the prober's output threads, and even an attacker's scorecards keep
-// the fleet matrix honest about link quality.
-func (n *Node) probeLoop(ctx context.Context) {
-	interval := n.cfg.ComplaintTimeout / 4
-	if interval <= 0 {
-		return
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-		}
-		n.mu.Lock()
-		type probe struct {
-			th     int
-			parent string
-		}
-		probes := make([]probe, 0, len(n.parentOf))
-		if n.joined {
-			for th, parent := range n.parentOf {
-				if parent != "" {
-					probes = append(probes, probe{th: th, parent: parent})
-				}
-			}
-		}
-		n.mu.Unlock()
-		for _, pr := range probes {
-			n.sendData(ctx, pr.parent, EncodeKeepaliveEcho(pr.th, time.Now().UnixNano(), 0, 0))
-		}
-	}
-}
-
-// heartbeatLoop proves this node's liveness to its children on threads
-// where it currently has nothing to forward, so that upstream starvation
+// beat runs the heartbeat cadence. With LinkSeq it first sends an echo
+// probe to each current parent, measuring RTT on the plane coded frames
+// ride; the parent's echo closes the loop in handleKeepalive. All
+// behaviors probe — a probe reveals nothing about the prober's output
+// threads, and even an attacker's scorecards keep the fleet matrix honest
+// about link quality. Then it proves this node's liveness to its children
+// on threads where it has nothing to forward, so that upstream starvation
 // is never mistaken for this node's death.
-func (n *Node) heartbeatLoop(ctx context.Context) {
-	interval := n.cfg.ComplaintTimeout / 4
-	if interval <= 0 {
-		return
+func (n *Node) beat(ctx context.Context) {
+	type hb struct {
+		to    string
+		frame []byte
 	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
+	var beats []hb
+	n.mu.Lock()
+	if n.cfg.LinkSeq && n.member.State().Admitted() {
+		for th, parent := range n.parentOf {
+			if parent != "" {
+				beats = append(beats, hb{to: parent, frame: EncodeKeepaliveEcho(th, time.Now().UnixNano(), 0, 0)})
+			}
 		}
-		if n.cfg.Behavior == Freeloader {
-			// The §5 failure attacker goes silent on its output threads:
-			// no data, no liveness. Children detect it by timeout and
-			// the repair protocol splices it out — exactly the attack
-			// the paper proves the overlay absorbs.
-			continue
-		}
-		n.mu.Lock()
-		type hb struct {
-			th    int
-			child string
-			frame []byte
-		}
-		beats := make([]hb, 0, len(n.childOf))
-		for th, child := range n.childOf {
-			b := hb{th: th, child: child}
-			// Prefer a useful heartbeat: a fresh combination of a
-			// rotating generation we hold rank in. This keeps a quiet
-			// subtree progressing even when the node's own inflow is
-			// idle (e.g. it decoded everything and upstream went quiet).
-			if len(n.genIDs) > 0 {
-				g := n.genIDs[(n.hbGen+th)%len(n.genIDs)]
-				if rc, ok := n.recoders[g]; ok && rc.Rank() > 0 {
-					if p := n.emitPacketLocked(g, rc); p != nil {
-						b.frame = EncodeDataSeq(n.field, th, n.nextSeqLocked(th),
-							n.lifecycle.EmitStamp(g), n.forwardTraceLocked(g), p)
-						p.Release()
-					}
+	}
+	children := n.childOf
+	if n.cfg.Behavior == Freeloader {
+		// The §5 failure attacker goes silent on its output threads: no
+		// data, no liveness. Children detect it by timeout and the repair
+		// protocol splices it out — exactly the attack the paper proves
+		// the overlay absorbs.
+		children = nil
+	}
+	for th, child := range children {
+		b := hb{to: child}
+		// Prefer a useful heartbeat: a fresh combination of a rotating
+		// generation we hold rank in. This keeps a quiet subtree
+		// progressing even when the node's own inflow is idle (e.g. it
+		// decoded everything and upstream went quiet).
+		if len(n.genIDs) > 0 {
+			g := n.genIDs[(n.hbGen+th)%len(n.genIDs)]
+			if rc, ok := n.recoders[g]; ok && rc.Rank() > 0 {
+				if p := n.emitPacketLocked(g, rc); p != nil {
+					b.frame = EncodeDataSeq(n.field, th, n.nextSeqLocked(th),
+						n.lifecycle.EmitStamp(g), n.forwardTraceLocked(g), p)
+					p.Release()
 				}
 			}
-			if b.frame == nil {
-				if n.cfg.LinkSeq {
-					// Double as an RTT probe down the same path.
-					b.frame = EncodeKeepaliveEcho(th, time.Now().UnixNano(), 0, 0)
-				} else {
-					b.frame = EncodeKeepalive(th)
-				}
+		}
+		if b.frame == nil {
+			if n.cfg.LinkSeq {
+				// Double as an RTT probe down the same path.
+				b.frame = EncodeKeepaliveEcho(th, time.Now().UnixNano(), 0, 0)
+			} else {
+				b.frame = EncodeKeepalive(th)
 			}
-			beats = append(beats, b)
 		}
-		n.hbGen++
-		n.mu.Unlock()
-		for _, b := range beats {
-			n.sendData(ctx, b.child, b.frame)
-		}
+		beats = append(beats, b)
 	}
-}
-
-// leaseLoop renews this node's liveness lease with the tracker at the
-// interval the welcome announced. The complaint protocol only detects
-// failed nodes that have children; the lease is how a bottom clip (and
-// every other node) proves it is still alive, so a crash without a
-// good-bye is eventually swept from M. Attackers keep renewing — the §5/§7
-// adversaries keep their control plane alive by design, and leases must
-// not mask them from complaint-based repair (they don't: leases only
-// gate the tracker's own sweep).
-func (n *Node) leaseLoop(ctx context.Context) {
-	// Poll until joined (the interval arrives with the welcome), then
-	// tick at the announced rate.
-	const poll = 250 * time.Millisecond
-	timer := time.NewTimer(poll)
-	defer timer.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-timer.C:
-		}
-		n.mu.Lock()
-		joined, id, every := n.joined, n.id, n.leaseEvery
-		n.mu.Unlock()
-		wait := every
-		if !joined || wait <= 0 {
-			wait = poll
-		}
-		timer.Reset(wait)
-		if !joined || every <= 0 {
-			continue
-		}
-		if msg, err := EncodeControl(MsgLease, Lease{ID: id}); err == nil {
-			_ = n.ep.Send(ctx, n.cfg.TrackerAddr, msg) //nolint:errcheck // renewed next tick
-			n.mu.Lock()
-			n.leaseSent++
-			n.mu.Unlock()
-		}
-	}
-}
-
-// statsLoop sends one MsgStatsReport per tracker-announced interval — the
-// node's half of the fleet-telemetry protocol. Like the lease loop it
-// idles on a short poll until a welcome announces the cadence, then ticks
-// at exactly that rate, so the acceptance bound of at most one control
-// message per node per reporting interval holds by construction.
-func (n *Node) statsLoop(ctx context.Context) {
-	const poll = 250 * time.Millisecond
-	timer := time.NewTimer(poll)
-	defer timer.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-timer.C:
-		}
-		n.mu.Lock()
-		joined, every := n.joined, n.statsEvery
-		n.mu.Unlock()
-		wait := every
-		if !joined || wait <= 0 {
-			wait = poll
-		}
-		timer.Reset(wait)
-		if !joined || every <= 0 {
-			continue
-		}
-		report := n.buildStatsReport()
-		if msg, err := EncodeControl(MsgStatsReport, report); err == nil {
-			_ = n.ep.Send(ctx, n.cfg.TrackerAddr, msg) //nolint:errcheck // resent next tick
-		}
+	n.hbGen++
+	n.mu.Unlock()
+	for _, b := range beats {
+		n.sendData(ctx, b.to, b.frame)
 	}
 }
 
@@ -1089,7 +1029,7 @@ func (n *Node) statsLoop(ctx context.Context) {
 func (n *Node) buildStatsReport() StatsReport {
 	n.mu.Lock()
 	r := StatsReport{
-		ID:            n.id,
+		ID:            n.member.ID(),
 		MaxRank:       n.totalGens * n.params.GenSize,
 		GensDone:      n.gensDone,
 		TotalGens:     n.totalGens,
@@ -1132,48 +1072,33 @@ func (n *Node) buildStatsReport() StatsReport {
 	return r
 }
 
-// complaintLoop watches per-thread silence and reports dead parents.
-func (n *Node) complaintLoop(ctx context.Context) {
-	ticker := time.NewTicker(n.cfg.ComplaintTimeout / 2)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-		}
-		n.mu.Lock()
-		// Completed nodes keep complaining: they are still relays, and a
-		// dead ancestor silently starves their whole subtree otherwise.
-		if !n.joined {
-			n.mu.Unlock()
-			continue
-		}
-		now := time.Now()
-		type complaint struct {
-			th     int
-			parent string
-		}
-		var complaints []complaint
-		for _, th := range n.threads {
-			if now.Sub(n.lastRecv[th]) > n.cfg.ComplaintTimeout {
-				complaints = append(complaints, complaint{th: th, parent: n.parentOf[th]})
-				n.lastRecv[th] = now // rate-limit: one complaint per timeout
-			}
-		}
-		id := n.id
-		n.complaintsSent += uint64(len(complaints))
+// complain reports the parents of threads silent for longer than the
+// complaint timeout.
+func (n *Node) complain(ctx context.Context, now time.Time) {
+	n.mu.Lock()
+	// Completed nodes keep complaining: they are still relays, and a dead
+	// ancestor silently starves their whole subtree otherwise.
+	if !n.member.State().Admitted() {
 		n.mu.Unlock()
-		for _, c := range complaints {
-			msg, err := EncodeControl(MsgComplaint, Complaint{ID: id, Thread: c.th, ParentAddr: c.parent})
-			if err != nil {
-				continue
+		return
+	}
+	var complaints [][]byte
+	for _, th := range n.threads {
+		if now.Sub(n.lastRecv[th]) > n.cfg.ComplaintTimeout {
+			c := Complaint{ID: n.member.ID(), Thread: th, ParentAddr: n.parentOf[th]}
+			if msg, err := EncodeControl(MsgComplaint, c); err == nil {
+				complaints = append(complaints, msg)
 			}
-			if m := n.cfg.Obs; m != nil {
-				m.Complaints.Inc()
-			}
-			_ = n.ep.Send(ctx, n.cfg.TrackerAddr, msg) //nolint:errcheck // best-effort
+			n.lastRecv[th] = now // rate-limit: one complaint per timeout
 		}
+	}
+	n.complaintsSent += uint64(len(complaints))
+	n.mu.Unlock()
+	for _, msg := range complaints {
+		if m := n.cfg.Obs; m != nil {
+			m.Complaints.Inc()
+		}
+		_ = n.ep.Send(ctx, n.cfg.TrackerAddr, msg) //nolint:errcheck // best-effort
 	}
 }
 
@@ -1181,35 +1106,24 @@ func (n *Node) complaintLoop(ctx context.Context) {
 // threads is dropped, its parent and child joined directly. The change
 // lands asynchronously via MsgThreadDropped.
 func (n *Node) Congest(ctx context.Context) error {
-	n.mu.Lock()
-	id := n.id
-	joined := n.joined
-	n.mu.Unlock()
-	if !joined {
-		return errors.New("protocol: congest before join")
-	}
-	msg, err := EncodeControl(MsgCongested, Congested{ID: id})
-	if err != nil {
-		return err
-	}
-	return n.ep.Send(ctx, n.cfg.TrackerAddr, msg)
+	return n.askJoined(ctx, MsgCongested, "congest")
 }
 
 // Uncongest asks the tracker to regrow one thread (§5 recovery). The
 // change lands asynchronously via MsgThreadAdded.
 func (n *Node) Uncongest(ctx context.Context) error {
+	return n.askJoined(ctx, MsgUncongested, "uncongest")
+}
+
+// askJoined sends the tracker a request only a joined node may make.
+func (n *Node) askJoined(ctx context.Context, typ MsgType, what string) error {
 	n.mu.Lock()
-	id := n.id
-	joined := n.joined
+	id, joined := n.member.ID(), n.member.State().Admitted()
 	n.mu.Unlock()
 	if !joined {
-		return errors.New("protocol: uncongest before join")
+		return fmt.Errorf("protocol: %s before join", what)
 	}
-	msg, err := EncodeControl(MsgUncongested, Uncongested{ID: id})
-	if err != nil {
-		return err
-	}
-	return n.ep.Send(ctx, n.cfg.TrackerAddr, msg)
+	return n.sendTracker(ctx, typ, id)
 }
 
 // Degree returns the node's current thread count.
@@ -1220,39 +1134,19 @@ func (n *Node) Degree() int {
 }
 
 // Leave performs the good-bye protocol; Run returns once the ack arrives.
-// The good-bye is re-sent periodically until acknowledged (the ack can be
-// dropped under congestion; the tracker's handling is idempotent).
+// Run's driver re-sends the good-bye until it is acknowledged (the ack can
+// be dropped under congestion; the tracker's handling is idempotent) and
+// stops when Run returns. Leaving again while a good-bye is pending adds
+// nothing.
 func (n *Node) Leave(ctx context.Context) error {
 	n.mu.Lock()
-	id := n.id
-	joined := n.joined
-	if joined {
-		n.leaving = true
-	}
+	st := n.member.State()
+	out := n.member.Leave(time.Now())
+	n.armLocked(out)
+	id := n.member.ID()
 	n.mu.Unlock()
-	if !joined {
+	if !st.Admitted() && st != MemberLeft {
 		return errors.New("protocol: leave before join")
 	}
-	msg, err := EncodeControl(MsgGoodbye, Goodbye{ID: id})
-	if err != nil {
-		return err
-	}
-	if err := n.ep.Send(ctx, n.cfg.TrackerAddr, msg); err != nil {
-		return err
-	}
-	go func() {
-		ticker := time.NewTicker(500 * time.Millisecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-n.leftCh:
-				return
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				_ = n.ep.Send(ctx, n.cfg.TrackerAddr, msg) //nolint:errcheck // retried
-			}
-		}
-	}()
-	return nil
+	return n.sendTracker(ctx, out.Send, id)
 }

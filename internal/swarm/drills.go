@@ -46,8 +46,6 @@ type DrillConfig struct {
 	// CrashFrac is the fraction crashed by the churn drill (default 0.2)
 	// and the adversarial band fraction (default 0.05 — e08's P).
 	CrashFrac float64
-	// Tick is the swarm timer-wheel granularity (default 5ms).
-	Tick time.Duration
 	// HelloRetry overrides the swarm's hello-retry interval (zero keeps
 	// the 500ms default). Large fleets should set it near the expected
 	// join-wave duration: when admitting N nodes takes seconds, a 500ms
@@ -93,6 +91,16 @@ func (c DrillConfig) withDefaults() DrillConfig {
 		c.ConnSample = 1024
 	}
 	return c
+}
+
+// crashCount is how many nodes a drill fails: CrashFrac of the fleet
+// (def when unset), at least one.
+func (c DrillConfig) crashCount(def float64) int {
+	frac := c.CrashFrac
+	if frac <= 0 {
+		frac = def
+	}
+	return max(1, int(float64(c.N)*frac))
 }
 
 // Gate is one pass/fail criterion with its observed evidence.
@@ -169,7 +177,6 @@ func startEnv(cfg DrillConfig, degree func(int) int, rate func(int) int) (*drill
 		Seed:        cfg.Seed,
 		Degree:      degree,
 		Rate:        rate,
-		Tick:        cfg.Tick,
 		HelloRetry:  cfg.HelloRetry,
 		// The endpoint buffer must ride out a full shard's welcome burst.
 		EndpointBuf: cfg.N/cfg.Shards + 1024,
@@ -188,6 +195,15 @@ func (e *drillEnv) stop() {
 	e.cancel()
 	e.swarm.Close()
 	e.net.Close()
+}
+
+// joinWave joins the whole population and gates on every node being
+// admitted within the drill timeout.
+func (e *drillEnv) joinWave(cfg DrillConfig, res *DrillResult) bool {
+	e.swarm.JoinRange(0, cfg.N)
+	ok := waitUntil(cfg.Timeout, func() bool { return e.swarm.JoinedCount() == cfg.N })
+	res.gate("join-wave", ok, "%d/%d joined", e.swarm.JoinedCount(), cfg.N)
+	return ok
 }
 
 // drillRand seeds the scenario-level randomness (victim selection);
@@ -290,10 +306,6 @@ func RunChurnRejoin(cfg DrillConfig) (DrillResult, error) {
 	if cfg.LeaseTimeout <= 0 {
 		return DrillResult{}, fmt.Errorf("swarm: churn drill requires LeaseTimeout")
 	}
-	frac := cfg.CrashFrac
-	if frac <= 0 {
-		frac = 0.2
-	}
 	res := DrillResult{Name: "churn-rejoin", Nodes: cfg.N, Shards: cfg.Shards, Seed: cfg.Seed, Passed: true}
 	env, err := startEnv(cfg, nil, nil)
 	if err != nil {
@@ -302,18 +314,12 @@ func RunChurnRejoin(cfg DrillConfig) (DrillResult, error) {
 	defer env.stop()
 	start := time.Now()
 
-	env.swarm.JoinRange(0, cfg.N)
-	if !waitUntil(cfg.Timeout, func() bool { return env.swarm.JoinedCount() == cfg.N }) {
-		res.gate("join-wave", false, "only %d/%d joined", env.swarm.JoinedCount(), cfg.N)
+	if !env.joinWave(cfg, &res) {
 		return res, nil
 	}
-	res.gate("join-wave", true, "%d joined", cfg.N)
 
 	// Crash a deterministic pseudo-random subset, remembering old ids.
-	m := int(float64(cfg.N) * frac)
-	if m < 1 {
-		m = 1
-	}
+	m := cfg.crashCount(0.2)
 	rng := drillRand(cfg.Seed)
 	victims := rng.Perm(cfg.N)[:m]
 	oldIDs := make(map[int]uint64, m)
@@ -381,12 +387,9 @@ func RunHeterogeneous(cfg DrillConfig) (DrillResult, error) {
 	defer env.stop()
 	start := time.Now()
 
-	env.swarm.JoinRange(0, cfg.N)
-	if !waitUntil(cfg.Timeout, func() bool { return env.swarm.JoinedCount() == cfg.N }) {
-		res.gate("join-wave", false, "only %d/%d joined", env.swarm.JoinedCount(), cfg.N)
+	if !env.joinWave(cfg, &res) {
 		return res, nil
 	}
-	res.gate("join-wave", true, "%d joined", cfg.N)
 
 	want := make(map[int]int)
 	for i := 0; i < cfg.N; i++ {
@@ -445,10 +448,6 @@ func RunAdversarialBatch(cfg DrillConfig) (DrillResult, error) {
 	if cfg.LeaseTimeout <= 0 {
 		return DrillResult{}, fmt.Errorf("swarm: adversarial drill requires LeaseTimeout")
 	}
-	frac := cfg.CrashFrac
-	if frac <= 0 {
-		frac = 0.05
-	}
 	res := DrillResult{Name: "adversarial-batch", Nodes: cfg.N, Shards: cfg.Shards, Seed: cfg.Seed, Passed: true}
 	env, err := startEnv(cfg, nil, nil)
 	if err != nil {
@@ -457,12 +456,9 @@ func RunAdversarialBatch(cfg DrillConfig) (DrillResult, error) {
 	defer env.stop()
 	start := time.Now()
 
-	env.swarm.JoinRange(0, cfg.N)
-	if !waitUntil(cfg.Timeout, func() bool { return env.swarm.JoinedCount() == cfg.N }) {
-		res.gate("join-wave", false, "only %d/%d joined", env.swarm.JoinedCount(), cfg.N)
+	if !env.joinWave(cfg, &res) {
 		return res, nil
 	}
-	res.gate("join-wave", true, "%d joined", cfg.N)
 
 	// The adversarial band: in append mode rows sit in admission order,
 	// so the m nodes with the middle ids occupy a contiguous band of M.
@@ -475,10 +471,7 @@ func RunAdversarialBatch(cfg DrillConfig) (DrillResult, error) {
 		pairs = append(pairs, pair{idx: i, id: env.swarm.NodeID(i)})
 	}
 	sort.Slice(pairs, func(a, b int) bool { return pairs[a].id < pairs[b].id })
-	m := int(float64(cfg.N) * frac)
-	if m < 1 {
-		m = 1
-	}
+	m := cfg.crashCount(0.05)
 	band := pairs[cfg.N/2-m/2 : cfg.N/2-m/2+m]
 
 	// Pre-repair damage, measured as e08 measures it: the band marked
@@ -525,19 +518,4 @@ func RunAdversarialBatch(cfg DrillConfig) (DrillResult, error) {
 	res.metric("preprepair_mean_loss_frac", damage.MeanLossFrac)
 	res.metric("recovery_seconds", recovery.Seconds())
 	return res, nil
-}
-
-// RunAllDrills executes the four scenarios with a shared base config.
-func RunAllDrills(cfg DrillConfig) ([]DrillResult, error) {
-	var out []DrillResult
-	for _, run := range []func(DrillConfig) (DrillResult, error){
-		RunFlashCrowd, RunChurnRejoin, RunHeterogeneous, RunAdversarialBatch,
-	} {
-		r, err := run(cfg)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

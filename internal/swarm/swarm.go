@@ -4,9 +4,12 @@
 // machine (the paper's scale regime) without paying per-node goroutines,
 // timers, or sockets.
 //
-// Each virtual node speaks the real wire protocol — hello (with retry),
-// welcome, lease renewal, stats reports, goodbye (with retry), expulsion
-// handling — against an unmodified protocol.Tracker. What is stubbed is
+// Each virtual node embeds a protocol.Member — the same membership state
+// machine protocol.Node runs — so hello (with retry), welcome, lease
+// renewal, stats reports, goodbye (with retry) and expulsion handling are
+// the real protocol, spoken against an unmodified protocol.Tracker; the
+// swarm only translates commands, timer-wheel entries and frames into
+// Member calls and schedules what the Member returns. What is stubbed is
 // the data plane: instead of decoding coded packets, a node advances a
 // synthetic rank at a per-node rate and reports believable
 // MsgStatsReports, so the tracker-side telemetry pipeline (ClusterSnapshot
@@ -22,10 +25,11 @@ package swarm
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,34 +61,37 @@ type Config struct {
 	// this; nil draws 1..4 per node from the seed.
 	Rate func(i int) int
 	// HelloRetry is how long an unanswered hello waits before resending
-	// (default 500ms); GoodbyeRetry likewise for unacked goodbyes.
-	HelloRetry   time.Duration
-	GoodbyeRetry time.Duration
-	// Tick is the timer-wheel granularity (default 5ms).
-	Tick time.Duration
+	// (default 500ms).
+	HelloRetry time.Duration
 	// EndpointBuf is the per-shard mux endpoint receive buffer in frames
 	// (default 8192): it must absorb the tracker's welcome bursts while
 	// the event loop is busy sending hellos.
 	EndpointBuf int
-	// AddrPrefix names the shard endpoints (default "swarm"); shard i
-	// registers AddrPrefix+i and node j rides it as AddrPrefix+i+"!nj".
-	AddrPrefix string
 }
 
-// Node lifecycle states (externally visible via State).
 const (
-	StateIdle int32 = iota
-	StateJoining
-	StateJoined
-	StateLeaving
-	StateLeft
-	StateCrashed
-	StateRejected
+	// tick is the timer-wheel granularity.
+	tick = 5 * time.Millisecond
+	// addrPrefix names the shard endpoints: shard i registers
+	// addrPrefix+i and node j rides it as addrPrefix+i+"!nj".
+	addrPrefix = "swarm"
+)
+
+// Node lifecycle states (externally visible via State): the values of
+// protocol.MemberState.
+const (
+	StateIdle     = int32(protocol.MemberIdle)
+	StateJoining  = int32(protocol.MemberJoining)
+	StateJoined   = int32(protocol.MemberJoined)
+	StateLeaving  = int32(protocol.MemberLeaving)
+	StateLeft     = int32(protocol.MemberLeft)
+	StateCrashed  = int32(protocol.MemberCrashed)
+	StateRejected = int32(protocol.MemberRejected)
 )
 
 // Counts is a snapshot of the swarm's counters.
 type Counts struct {
-	Joined       int64  // currently joined (welcomed and not yet departed)
+	Joined       int64  // currently admitted (welcomed and not yet departed)
 	Welcomes     uint64 // fresh welcomes (first per join attempt)
 	DupWelcomes  uint64 // welcome retries observed
 	HelloRetries uint64
@@ -100,21 +107,13 @@ type Counts struct {
 	SendErrors   uint64
 }
 
+// counters back Counts: one per Member event (EventCrashed is the last)
+// and per control message a Member asked for, plus the swarm's own.
 type counters struct {
-	joined       atomic.Int64
-	welcomes     atomic.Uint64
-	dupWelcomes  atomic.Uint64
-	helloRetries atomic.Uint64
-	rejoins      atomic.Uint64
-	expelled     atomic.Uint64
-	leaves       atomic.Uint64
-	crashes      atomic.Uint64
-	leases       atomic.Uint64
-	stats        atomic.Uint64
-	completes    atomic.Uint64
-	redirects    atomic.Uint64
-	rejected     atomic.Uint64
-	sendErrors   atomic.Uint64
+	joined                                                  atomic.Int64
+	events                                                  [protocol.EventCrashed + 1]atomic.Uint64
+	sent                                                    [protocol.MsgStatsReport + 1]atomic.Uint64
+	helloRetries, rejoins, completes, redirects, sendErrors atomic.Uint64
 }
 
 // Swarm is a population of virtual nodes.
@@ -147,18 +146,10 @@ type command struct {
 // event loop — no locks. 100k of these cost ~100 bytes each, not a
 // goroutine stack each.
 type vnode struct {
-	idx   int32
-	addr  string
-	state int32
-	// epoch invalidates scheduled timers: every transition that must
-	// cancel outstanding timers (crash, leave, rejoin) bumps it, and the
-	// wheel drops fired entries with a stale epoch.
-	epoch uint32
-
-	id         uint64
-	degree     int
-	leaseEvery time.Duration
-	statsEvery time.Duration
+	m      protocol.Member
+	idx    int32
+	addr   string
+	degree int
 
 	// Synthetic data plane.
 	rank, maxRank int
@@ -178,6 +169,8 @@ type shard struct {
 	idx int
 	ep  *transport.MuxEndpoint
 	rng *rand.Rand
+	// prefix is every node address's shard part, <shardAddr>!n.
+	prefix string
 
 	// notify wakes the event loop; inbox and cmds are appended by
 	// outsiders (the pump, the public API) under their mutexes and
@@ -214,20 +207,8 @@ func New(cfg Config) (*Swarm, error) {
 	if cfg.Shards > cfg.N {
 		cfg.Shards = cfg.N
 	}
-	if cfg.HelloRetry <= 0 {
-		cfg.HelloRetry = 500 * time.Millisecond
-	}
-	if cfg.GoodbyeRetry <= 0 {
-		cfg.GoodbyeRetry = 500 * time.Millisecond
-	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = 5 * time.Millisecond
-	}
 	if cfg.EndpointBuf <= 0 {
 		cfg.EndpointBuf = 8192
-	}
-	if cfg.AddrPrefix == "" {
-		cfg.AddrPrefix = "swarm"
 	}
 	s := &Swarm{
 		cfg:    cfg,
@@ -235,7 +216,7 @@ func New(cfg Config) (*Swarm, error) {
 		ids:    make([]atomic.Uint64, cfg.N),
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		ep, err := cfg.Network.MuxEndpoint(fmt.Sprintf("%s%d", cfg.AddrPrefix, i), cfg.EndpointBuf)
+		ep, err := cfg.Network.MuxEndpoint(fmt.Sprintf("%s%d", addrPrefix, i), cfg.EndpointBuf)
 		if err != nil {
 			return nil, err
 		}
@@ -243,9 +224,10 @@ func New(cfg Config) (*Swarm, error) {
 			s:      s,
 			idx:    i,
 			ep:     ep,
+			prefix: fmt.Sprintf("%s%cn", ep.Addr(), transport.MuxSep),
 			rng:    rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
 			notify: make(chan struct{}, 1),
-			wheel:  newWheel(cfg.Tick, 512),
+			wheel:  newWheel(tick, 512),
 			nodes:  make(map[int32]*vnode),
 		})
 	}
@@ -273,11 +255,8 @@ func (s *Swarm) Close() {
 	s.wg.Wait()
 }
 
-// shardOf maps a node index to its owning shard.
-func (s *Swarm) shardOf(i int) *shard { return s.shards[i%len(s.shards)] }
-
 func (s *Swarm) enqueue(kind uint8, i int) {
-	sh := s.shardOf(i)
+	sh := s.shards[i%len(s.shards)]
 	sh.cmdMu.Lock()
 	sh.cmds = append(sh.cmds, command{kind: kind, node: int32(i)})
 	sh.cmdMu.Unlock()
@@ -313,20 +292,21 @@ func (s *Swarm) JoinedCount() int { return int(s.c.joined.Load()) }
 
 // Counts snapshots the counters.
 func (s *Swarm) Counts() Counts {
+	ev := func(e protocol.MemberEvent) uint64 { return s.c.events[e].Load() }
 	return Counts{
 		Joined:       s.c.joined.Load(),
-		Welcomes:     s.c.welcomes.Load(),
-		DupWelcomes:  s.c.dupWelcomes.Load(),
+		Welcomes:     ev(protocol.EventJoined),
+		DupWelcomes:  ev(protocol.EventDupWelcome),
 		HelloRetries: s.c.helloRetries.Load(),
 		Rejoins:      s.c.rejoins.Load(),
-		Expelled:     s.c.expelled.Load(),
-		Leaves:       s.c.leaves.Load(),
-		Crashes:      s.c.crashes.Load(),
-		Leases:       s.c.leases.Load(),
-		StatsSent:    s.c.stats.Load(),
+		Expelled:     ev(protocol.EventExpelled),
+		Leaves:       ev(protocol.EventLeft),
+		Crashes:      ev(protocol.EventCrashed),
+		Leases:       s.c.sent[protocol.MsgLease].Load(),
+		StatsSent:    s.c.sent[protocol.MsgStatsReport].Load(),
 		Completes:    s.c.completes.Load(),
 		Redirects:    s.c.redirects.Load(),
-		Rejected:     s.c.rejected.Load(),
+		Rejected:     ev(protocol.EventRejected),
 		SendErrors:   s.c.sendErrors.Load(),
 	}
 }
@@ -373,8 +353,8 @@ func (sh *shard) pump(ctx context.Context) {
 // wheel, sleep until woken or the next tick.
 func (sh *shard) run(ctx context.Context) {
 	defer sh.s.wg.Done()
-	tick := time.NewTimer(sh.s.cfg.Tick)
-	defer tick.Stop()
+	timer := time.NewTimer(tick)
+	defer timer.Stop()
 	for {
 		sh.inMu.Lock()
 		frames := sh.inbox
@@ -392,26 +372,22 @@ func (sh *shard) run(ctx context.Context) {
 		}
 		sh.wheel.advance(time.Now(), func(e timerEntry) { sh.fire(ctx, e) })
 
-		if !tick.Stop() {
-			select {
-			case <-tick.C:
-			default:
-			}
-		}
+		var tickC <-chan time.Time // nil: nothing scheduled, sleep until woken
 		if sh.wheel.pending() {
-			tick.Reset(sh.s.cfg.Tick)
-			select {
-			case <-ctx.Done():
-				return
-			case <-sh.notify:
-			case <-tick.C:
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
 			}
-		} else {
-			select {
-			case <-ctx.Done():
-				return
-			case <-sh.notify:
-			}
+			timer.Reset(tick)
+			tickC = timer.C
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-sh.notify:
+		case <-tickC:
 		}
 	}
 }
@@ -432,8 +408,9 @@ func (sh *shard) node(i int32) *vnode {
 			rate = 1 + sh.rng.Intn(4)
 		}
 		v = &vnode{
+			m:      protocol.Member{HelloRetry: sh.s.cfg.HelloRetry},
 			idx:    i,
-			addr:   fmt.Sprintf("%s%cn%d", sh.ep.Addr(), transport.MuxSep, i),
+			addr:   sh.prefix + strconv.Itoa(int(i)),
 			degree: deg,
 			rate:   rate,
 		}
@@ -442,91 +419,80 @@ func (sh *shard) node(i int32) *vnode {
 	return v
 }
 
-func (sh *shard) setState(v *vnode, st int32) {
-	v.state = st
-	sh.s.states[v.idx].Store(st)
+// apply carries out a Member output for v: mirror its state, count the
+// transition, schedule its timers and send its message.
+func (sh *shard) apply(ctx context.Context, v *vnode, out protocol.MemberOutput, now time.Time) {
+	c := &sh.s.c
+	st := v.m.State()
+	if old := protocol.MemberState(sh.s.states[v.idx].Load()); old != st {
+		sh.s.states[v.idx].Store(int32(st))
+		sh.s.ids[v.idx].Store(v.m.ID())
+		if st.Admitted() && !old.Admitted() {
+			c.joined.Add(1)
+		} else if old.Admitted() && !st.Admitted() {
+			c.joined.Add(-1)
+		}
+	}
+	if out.Event != protocol.EventNone {
+		c.events[out.Event].Add(1)
+	}
+	switch out.Event {
+	case protocol.EventJoining:
+		v.rank, v.redundant, v.renewals, v.completeSent = 0, 0, 0, false
+		v.helloAt = now
+	case protocol.EventExpelled:
+		// The tracker removed our row (lease expiry after a partition, or
+		// a complaint) and the Member re-hellos. Decoded state survives in
+		// a real node; here the synthetic rank restarts at the welcome.
+		v.helloAt = now
+	case protocol.EventJoined:
+		sh.welcomed(v, out.Welcome, now)
+	}
+	for _, t := range out.Timers[:out.NTimers] {
+		sh.wheel.add(timerEntry{due: t.Due, node: v.idx, kind: t.Kind, epoch: t.Epoch})
+	}
+	if out.Send != 0 {
+		c.sent[out.Send].Add(1)
+	}
+	switch out.Send {
+	case protocol.MsgHello:
+		sh.sendControl(ctx, v, out.Send, protocol.Hello{Addr: v.addr, Degree: v.degree})
+	case protocol.MsgGoodbye:
+		sh.sendControl(ctx, v, out.Send, protocol.Goodbye{ID: v.m.ID()})
+	case protocol.MsgLease:
+		v.renewals++
+		sh.sendControl(ctx, v, out.Send, protocol.Lease{ID: v.m.ID()})
+	case protocol.MsgStatsReport:
+		sh.advanceProgress(ctx, v)
+	}
 }
 
 func (sh *shard) handleCommand(ctx context.Context, c command) {
 	v := sh.node(c.node)
+	now := time.Now()
+	var out protocol.MemberOutput
 	switch c.kind {
 	case cmdJoin:
-		switch v.state {
-		case StateJoining, StateJoined, StateLeaving:
-			return // already in or on the way
-		}
-		if v.state == StateCrashed {
+		if v.m.State() == protocol.MemberCrashed {
 			v.wasCrash = true
 		}
-		v.epoch++
-		v.id = 0
-		sh.s.ids[v.idx].Store(0)
-		v.rank = 0
-		v.redundant = 0
-		v.renewals = 0
-		v.completeSent = false
-		sh.setState(v, StateJoining)
-		v.helloAt = time.Now()
-		sh.sendHello(ctx, v)
-		sh.wheel.add(timerEntry{due: time.Now().Add(sh.s.cfg.HelloRetry), node: v.idx, kind: timerHello, epoch: v.epoch})
+		out = v.m.Join(now)
 	case cmdLeave:
-		if v.state != StateJoined {
-			return
-		}
-		v.epoch++
-		sh.setState(v, StateLeaving)
-		sh.sendControl(ctx, v, protocol.MsgGoodbye, protocol.Goodbye{ID: v.id})
-		sh.wheel.add(timerEntry{due: time.Now().Add(sh.s.cfg.GoodbyeRetry), node: v.idx, kind: timerGoodbye, epoch: v.epoch})
+		out = v.m.Leave(now)
 	case cmdCrash:
-		if v.state == StateJoined || v.state == StateJoining || v.state == StateLeaving {
-			if v.state == StateJoined {
-				sh.s.c.joined.Add(-1)
-			}
-			v.epoch++
-			sh.setState(v, StateCrashed)
-			sh.s.c.crashes.Add(1)
-		}
+		out = v.m.Crash(now)
 	}
+	sh.apply(ctx, v, out, now)
 }
 
 func (sh *shard) fire(ctx context.Context, e timerEntry) {
-	v, ok := sh.nodes[e.node]
-	if !ok || v.epoch != e.epoch {
-		return // lazily cancelled
-	}
-	switch e.kind {
-	case timerHello:
-		if v.state != StateJoining {
-			return
-		}
+	v := sh.nodes[e.node] // only commanded nodes arm timers
+	now := time.Now()
+	out := v.m.Fire(now, protocol.MemberTimer{Due: e.due, Kind: e.kind, Epoch: e.epoch})
+	if out.Send == protocol.MsgHello {
 		sh.s.c.helloRetries.Add(1)
-		sh.sendHello(ctx, v)
-		sh.wheel.add(timerEntry{due: time.Now().Add(sh.s.cfg.HelloRetry), node: v.idx, kind: timerHello, epoch: v.epoch})
-	case timerGoodbye:
-		if v.state != StateLeaving {
-			return
-		}
-		sh.sendControl(ctx, v, protocol.MsgGoodbye, protocol.Goodbye{ID: v.id})
-		sh.wheel.add(timerEntry{due: time.Now().Add(sh.s.cfg.GoodbyeRetry), node: v.idx, kind: timerGoodbye, epoch: v.epoch})
-	case timerLease:
-		if v.state != StateJoined {
-			return
-		}
-		v.renewals++
-		sh.s.c.leases.Add(1)
-		sh.sendControl(ctx, v, protocol.MsgLease, protocol.Lease{ID: v.id})
-		sh.wheel.add(timerEntry{due: time.Now().Add(v.leaseEvery), node: v.idx, kind: timerLease, epoch: v.epoch})
-	case timerStats:
-		if v.state != StateJoined {
-			return
-		}
-		sh.advanceProgress(ctx, v)
-		sh.wheel.add(timerEntry{due: time.Now().Add(v.statsEvery), node: v.idx, kind: timerStats, epoch: v.epoch})
 	}
-}
-
-func (sh *shard) sendHello(ctx context.Context, v *vnode) {
-	sh.sendControl(ctx, v, protocol.MsgHello, protocol.Hello{Addr: v.addr, Degree: v.degree})
+	sh.apply(ctx, v, out, now)
 }
 
 func (sh *shard) sendControl(ctx context.Context, v *vnode, typ protocol.MsgType, payload interface{}) {
@@ -556,128 +522,66 @@ func (sh *shard) handleFrame(ctx context.Context, f *inFrame) {
 	if !ok {
 		return // never commanded: nothing to deliver to
 	}
-	if v.state == StateCrashed {
+	if v.m.State() == protocol.MemberCrashed {
 		return // a dead process reads nothing
 	}
 	typ, payload, err := protocol.DecodeControl(f.msg)
 	if err != nil {
 		return
 	}
+	now := time.Now()
+	out, ok := v.m.Control(now, typ, payload, sh.firstTimer)
+	if ok {
+		sh.apply(ctx, v, out, now)
+		return
+	}
 	switch typ {
-	case protocol.MsgWelcome:
-		var w protocol.Welcome
-		if err := json.Unmarshal(payload, &w); err != nil {
-			return
-		}
-		sh.handleWelcome(v, w)
-	case protocol.MsgGoodbyeAck:
-		if v.state != StateLeaving {
-			return
-		}
-		v.epoch++
-		sh.setState(v, StateLeft)
-		sh.s.c.joined.Add(-1)
-		sh.s.c.leaves.Add(1)
-	case protocol.MsgExpelled:
-		if v.state != StateJoined {
-			return
-		}
-		// Protocol-correct response: the tracker removed our row (lease
-		// expiry after a partition, or a complaint); re-join with a fresh
-		// hello. Decoded state survives in a real node; here the synthetic
-		// rank restarts.
-		sh.s.c.expelled.Add(1)
-		sh.s.c.joined.Add(-1)
-		v.epoch++
-		v.id = 0
-		sh.s.ids[v.idx].Store(0)
-		sh.setState(v, StateJoining)
-		v.helloAt = time.Now()
-		sh.sendHello(ctx, v)
-		sh.wheel.add(timerEntry{due: time.Now().Add(sh.s.cfg.HelloRetry), node: v.idx, kind: timerHello, epoch: v.epoch})
 	case protocol.MsgRedirect, protocol.MsgThreadDropped, protocol.MsgThreadAdded:
 		// Stub data plane: a real node would re-route its stream; the
 		// swarm only needs the tracker to believe it did.
 		sh.s.c.redirects.Add(1)
-	case protocol.MsgError:
-		if v.state == StateJoining {
-			v.epoch++
-			sh.setState(v, StateRejected)
-			sh.s.c.rejected.Add(1)
-		}
 	}
+}
+
+// firstTimer is the swarm's welcome jitter: the first lease lands in
+// [every/2, 3·every/2) and the first stats report in [0, every), so 100k
+// leases don't beat in phase.
+func (sh *shard) firstTimer(kind protocol.TimerKind, every time.Duration) time.Duration {
+	d := time.Duration(sh.rng.Int63n(int64(every)))
+	if kind == protocol.TimerLease {
+		d += every / 2
+	}
+	return d
 }
 
 // nodeIndexOf parses the virtual node index from a full destination
 // address of the form <shardAddr>!n<idx>.
 func (sh *shard) nodeIndexOf(to string) (int32, bool) {
-	base := sh.ep.Addr()
-	// Expect to == base + "!n" + digits.
-	if len(to) < len(base)+3 || to[:len(base)] != base ||
-		to[len(base)] != transport.MuxSep || to[len(base)+1] != 'n' {
+	digits, ok := strings.CutPrefix(to, sh.prefix)
+	idx, err := strconv.ParseUint(digits, 10, 31)
+	if !ok || err != nil || int(idx) >= sh.s.cfg.N {
 		return 0, false
 	}
-	var idx int32
-	for i := len(base) + 2; i < len(to); i++ {
-		c := to[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		idx = idx*10 + int32(c-'0')
-	}
-	if int(idx) >= sh.s.cfg.N {
-		return 0, false
-	}
-	return idx, true
+	return int32(idx), true
 }
 
-func (sh *shard) handleWelcome(v *vnode, w protocol.Welcome) {
-	if v.state != StateJoining {
-		if v.state == StateJoined {
-			sh.s.c.dupWelcomes.Add(1)
-		}
-		return
-	}
-	lat := float64(time.Since(v.helloAt).Nanoseconds())
+// welcomed records an admission and sizes the synthetic data plane from
+// the session parameters.
+func (sh *shard) welcomed(v *vnode, w *protocol.Welcome, now time.Time) {
+	lat := float64(now.Sub(v.helloAt).Nanoseconds())
 	sh.latMu.Lock()
 	sh.lats = append(sh.lats, lat)
 	sh.latMu.Unlock()
-
-	v.epoch++ // cancels the hello retry
-	v.id = w.ID
-	sh.s.ids[v.idx].Store(w.ID)
-	sh.setState(v, StateJoined)
-	sh.s.c.joined.Add(1)
-	sh.s.c.welcomes.Add(1)
 	if v.wasCrash {
 		v.wasCrash = false
 		sh.s.c.rejoins.Add(1)
 	}
-
-	// Synthetic data plane sizing from the session parameters.
-	v.genSize = w.Session.GenSize
-	if v.genSize <= 0 {
-		v.genSize = 1
-	}
-	perGen := v.genSize * w.Session.PacketSize
-	v.gens = 1
-	if perGen > 0 && w.Session.ContentLen > perGen {
-		v.gens = (w.Session.ContentLen + perGen - 1) / perGen
+	v.genSize, v.gens = 1, 1
+	if p, err := w.Session.Params(); err == nil && w.Session.ContentLen > 0 {
+		v.genSize, v.gens = p.GenSize, p.Generations(w.Session.ContentLen)
 	}
 	v.maxRank = v.gens * v.genSize
 	v.rank = 0
-
-	if w.LeaseMillis > 0 {
-		v.leaseEvery = time.Duration(w.LeaseMillis) * time.Millisecond
-		// Jittered first renewal so 100k leases don't beat in phase.
-		first := time.Duration(sh.rng.Int63n(int64(v.leaseEvery))) + v.leaseEvery/2
-		sh.wheel.add(timerEntry{due: time.Now().Add(first), node: v.idx, kind: timerLease, epoch: v.epoch})
-	}
-	if w.StatsMillis > 0 {
-		v.statsEvery = time.Duration(w.StatsMillis) * time.Millisecond
-		first := time.Duration(sh.rng.Int63n(int64(v.statsEvery)))
-		sh.wheel.add(timerEntry{due: time.Now().Add(first), node: v.idx, kind: timerStats, epoch: v.epoch})
-	}
 }
 
 // advanceProgress moves the synthetic decode forward and reports it: the
@@ -685,10 +589,7 @@ func (sh *shard) handleWelcome(v *vnode, w protocol.Welcome) {
 // (freshness, progress census, straggler detection) exercised at scale.
 func (sh *shard) advanceProgress(ctx context.Context, v *vnode) {
 	if v.rank < v.maxRank {
-		v.rank += v.rate
-		if v.rank > v.maxRank {
-			v.rank = v.maxRank
-		}
+		v.rank = min(v.rank+v.rate, v.maxRank)
 		// Roughly 2% of received coded packets arrive redundant — enough
 		// to keep the overhead fields non-trivial.
 		if v.rank%50 == 0 {
@@ -701,11 +602,8 @@ func (sh *shard) advanceProgress(ctx context.Context, v *vnode) {
 	genRanks := v.genScratch[:v.gens]
 	rest := v.rank
 	done := 0
-	for g := 0; g < v.gens; g++ {
-		r := rest
-		if r > v.genSize {
-			r = v.genSize
-		}
+	for g := range genRanks {
+		r := min(rest, v.genSize)
 		genRanks[g] = r
 		rest -= r
 		if r == v.genSize {
@@ -714,7 +612,7 @@ func (sh *shard) advanceProgress(ctx context.Context, v *vnode) {
 	}
 	complete := v.rank >= v.maxRank
 	r := protocol.StatsReport{
-		ID:            v.id,
+		ID:            v.m.ID(),
 		Rank:          v.rank,
 		MaxRank:       v.maxRank,
 		GenRanks:      genRanks,
@@ -726,11 +624,10 @@ func (sh *shard) advanceProgress(ctx context.Context, v *vnode) {
 		Redundant:     v.redundant,
 		LeaseRenewals: v.renewals,
 	}
-	sh.s.c.stats.Add(1)
 	sh.sendControl(ctx, v, protocol.MsgStatsReport, r)
 	if complete && !v.completeSent {
 		v.completeSent = true
 		sh.s.c.completes.Add(1)
-		sh.sendControl(ctx, v, protocol.MsgComplete, protocol.Complete{ID: v.id})
+		sh.sendControl(ctx, v, protocol.MsgComplete, protocol.Complete{ID: v.m.ID()})
 	}
 }

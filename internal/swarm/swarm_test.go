@@ -1,9 +1,14 @@
 package swarm
 
 import (
+	"context"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"ncast/internal/protocol"
+	"ncast/internal/transport"
 )
 
 // drillN is the scaled-down drill population for `make swarm` (the full
@@ -195,4 +200,61 @@ func TestSwarmGoroutineFootprint(t *testing.T) {
 		}
 		env.stop()
 	}
+}
+
+// TestNodeGoroutineFootprint pins the same property for protocol.Node:
+// with complaints, heartbeats and link probes all on, a running Node adds
+// exactly one goroutine beyond Run — the driver behind every one of its
+// clocks — and none once Run returns.
+func TestNodeGoroutineFootprint(t *testing.T) {
+	net := transport.NewNetwork()
+	defer net.Close()
+	tr := newScriptedTracker(t, net)
+	ep, err := net.Endpoint("node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := protocol.NewNode(ep, protocol.NodeConfig{
+		TrackerAddr: "tracker", ComplaintTimeout: 200 * time.Millisecond, LinkSeq: true,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runErr := make(chan error, 1)
+	go func() { runErr <- node.Run(ctx) }()
+	hello := tr.recv()
+	tr.send(hello.from, protocol.MsgWelcome, scriptedWelcome(1, 50, 50))
+	if err := <-node.Joined(); err != nil {
+		t.Fatal(err)
+	}
+	// Let every clock fire at least once: leases, stats, complaints about
+	// the silent thread, heartbeats.
+	for seen := map[protocol.MsgType]bool{}; !seen[protocol.MsgLease] || !seen[protocol.MsgStatsReport] ||
+		!seen[protocol.MsgComplaint]; {
+		seen[tr.recv().typ] = true
+	}
+	if g := nodeGoroutines(); g != 2 {
+		t.Fatalf("running node has %d goroutines, want 2 (Run and its driver)", g)
+	}
+	cancel()
+	<-runErr
+	if g := nodeGoroutines(); g != 0 {
+		t.Fatalf("%d node goroutines outlive Run", g)
+	}
+}
+
+// nodeGoroutines counts the goroutines running protocol.Node code.
+func nodeGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if strings.Contains(g, "protocol.(*Node)") {
+			count++
+		}
+	}
+	return count
 }

@@ -1,25 +1,21 @@
 package swarm
 
-import "time"
+import (
+	"time"
 
-// timerEntry is one scheduled per-node event. Cancellation is lazy: the
-// entry carries the node's epoch at scheduling time, and the shard drops
-// fired entries whose node has since changed epoch (crashed, left,
+	"ncast/internal/protocol"
+)
+
+// timerEntry is one scheduled protocol.MemberTimer. Cancellation is lazy:
+// the entry carries the Member's epoch at scheduling time, and the Member
+// ignores a fired entry whose epoch has since moved (crashed, left,
 // rejoined), so cancels cost nothing at the wheel.
 type timerEntry struct {
 	due   time.Time
 	node  int32
-	kind  uint8
+	kind  protocol.TimerKind
 	epoch uint32
 }
-
-// Timer kinds.
-const (
-	timerHello   uint8 = iota // retry an unanswered hello
-	timerLease                // renew the liveness lease
-	timerStats                // advance synthetic progress + send a report
-	timerGoodbye              // retry an unacked goodbye
-)
 
 // wheel is a hashed timer wheel: slots of `tick` width, entries hashed by
 // due slot. One shard owns one wheel and drives it from its event loop —
@@ -41,12 +37,6 @@ type wheel struct {
 }
 
 func newWheel(tick time.Duration, nslots int) *wheel {
-	if tick <= 0 {
-		tick = 5 * time.Millisecond
-	}
-	if nslots <= 0 {
-		nslots = 512
-	}
 	return &wheel{
 		tick:  tick,
 		slots: make([][]timerEntry, nslots),

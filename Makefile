@@ -73,12 +73,15 @@ fuzz:
 	$(GO) test ./internal/gf -run xxx -fuzz 'FuzzAddMulSlice65536$$' -fuzztime 5s
 
 # Allocation guards: with sampling off, the traced emit/receive hot path
-# must allocate nothing beyond the untraced baseline, and the decode
-# steady state (redundant packets, systematic installs, recoder re-mix,
-# the innovative packet that closes rank) must be zero-alloc.
+# must allocate nothing beyond the untraced baseline, the source must
+# emit from pooled frames and packets (under 1 KiB allocated per frame),
+# and the decode steady state (redundant packets, systematic installs,
+# recoder re-mix, the innovative packet that closes rank) must be
+# zero-alloc.
 allocguard:
 	$(GO) test ./internal/protocol -run TestTracedHotPathAllocs -count=1
 	$(GO) test ./internal/protocol -run TestLinkHotPathAllocs -count=1
+	$(GO) test ./internal/protocol -run TestSourceEmitAllocs -count=1
 	$(GO) test ./internal/rlnc -run TestDecodeHotPathAllocs -count=1
 
 # Perf regression gate: emit paths stay zero-alloc, and coded FileDecoder

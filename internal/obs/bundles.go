@@ -186,6 +186,7 @@ type NodeMetrics struct {
 	Innovative *Counter
 	Redundant  *Counter
 	Emitted    *Counter // re-coded data frames forwarded downstream
+	SendErrors *Counter // data-plane frames whose Send failed
 	Complaints *Counter
 	Rank       *Gauge
 	GensDone   *Gauge
@@ -210,6 +211,7 @@ func NewNodeMetrics(r *Registry, node string) *NodeMetrics {
 		Innovative:  r.Counter("ncast_node_innovative_total", "Received packets that increased rank.", l),
 		Redundant:   r.Counter("ncast_node_redundant_total", "Received packets that did not increase rank.", l),
 		Emitted:     r.Counter("ncast_node_emitted_total", "Re-coded data frames forwarded downstream.", l),
+		SendErrors:  r.Counter("ncast_node_send_errors_total", "Data-plane frames (data and keepalives) whose send failed and were dropped.", l),
 		Complaints:  r.Counter("ncast_node_complaints_total", "Complaints sent about silent parents.", l),
 		Rank:        r.Gauge("ncast_node_rank", "Total decoded rank across generations.", l),
 		GensDone:    r.Gauge("ncast_node_generations_done", "Fully decoded generations.", l),
@@ -247,8 +249,9 @@ func NewCodecMetrics(r *Registry, labels ...Label) *CodecMetrics {
 
 // SourceMetrics instruments the server's data pump.
 type SourceMetrics struct {
-	Rounds  *Counter
-	Packets *Counter
+	Rounds     *Counter
+	Packets    *Counter
+	SendErrors *Counter // coded frames whose Send failed
 }
 
 // NewSourceMetrics registers the source family on r.
@@ -257,7 +260,8 @@ func NewSourceMetrics(r *Registry) *SourceMetrics {
 		return nil
 	}
 	return &SourceMetrics{
-		Rounds:  r.Counter("ncast_source_rounds_total", "Pump rounds with at least one live thread."),
-		Packets: r.Counter("ncast_source_packets_total", "Coded packets emitted by the source."),
+		Rounds:     r.Counter("ncast_source_rounds_total", "Pump rounds with at least one live thread."),
+		Packets:    r.Counter("ncast_source_packets_total", "Coded packets emitted by the source."),
+		SendErrors: r.Counter("ncast_source_send_errors_total", "Coded frames whose send failed and were dropped."),
 	}
 }

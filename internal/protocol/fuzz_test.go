@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ncast/internal/gf"
@@ -119,142 +120,112 @@ func fuzzField(sel uint8) gf.Field {
 	}
 }
 
-// FuzzDecodeData hammers the binary data-frame decoder over all three
-// fields and all three data-frame variants. Accepted frames must
-// round-trip exactly: thread, stamp, trace context, generation,
-// coefficients, and payload all survive re-encoding. A malformed trace
-// header must be rejected, never mis-routed to another variant.
+// FuzzDecodeData hammers the data-frame decoder over all three fields and
+// every header layout AppendDataSeq emits: plain, stamped and traced, each
+// with and without a sequence number, carrying coded and systematic
+// packets. Accepted frames must round-trip exactly: thread, seq, stamp,
+// trace context, generation, coefficients, systematic index and payload
+// all survive re-encoding. A malformed trace header must be rejected,
+// never mis-routed to another layout.
 func FuzzDecodeData(f *testing.F) {
+	coded := &rlnc.Packet{Gen: 3, Coeff: []uint16{1, 0, 1}, Payload: []byte("abcd")}
+	sys := &rlnc.Packet{Gen: 3, Coeff: []uint16{0, 1, 0}, Sys: true, SysIdx: 1, Payload: []byte("abcd")}
+	traced := TraceContext{ID: 0xfeedface, Hop: 2}
 	for sel := uint8(0); sel < 3; sel++ {
 		fld := fuzzField(sel)
-		p := &rlnc.Packet{Gen: 3, Coeff: []uint16{1, 0, 1}, Payload: []byte("abcd")}
-		f.Add(sel, EncodeData(fld, 9, 0, p))
-		f.Add(sel, EncodeData(fld, 9, 123456789, p))
-		f.Add(sel, EncodeDataTraced(fld, 9, 123456789, TraceContext{ID: 0xfeedface, Hop: 2}, p))
-		f.Add(sel, EncodeDataTraced(fld, 9, 0, TraceContext{ID: 1, Hop: 255}, p))
-		f.Add(sel, EncodeDataSeq(fld, 9, 0, 0, TraceContext{}, p))
-		f.Add(sel, EncodeDataSeq(fld, 9, SeqMod-1, 123456789, TraceContext{}, p))
-		f.Add(sel, EncodeDataSeq(fld, 9, 7, 123456789, TraceContext{ID: 0xfeedface, Hop: 2}, p))
+		f.Add(sel, AppendDataSeq(nil, fld, 9, -1, 0, TraceContext{}, coded))
+		f.Add(sel, AppendDataSeq(nil, fld, 9, -1, 123456789, TraceContext{}, coded))
+		f.Add(sel, AppendDataSeq(nil, fld, 9, -1, 123456789, traced, coded))
+		f.Add(sel, AppendDataSeq(nil, fld, 9, -1, 0, TraceContext{ID: 1, Hop: 255}, coded))
+		f.Add(sel, AppendDataSeq(nil, fld, 9, 0, 0, TraceContext{}, coded))
+		f.Add(sel, AppendDataSeq(nil, fld, 9, SeqMod-1, 123456789, TraceContext{}, coded))
+		f.Add(sel, AppendDataSeq(nil, fld, 9, 7, 123456789, traced, coded))
 	}
 	f.Add(uint8(1), []byte{0, 0, 1})                              // header only
 	f.Add(uint8(1), []byte{3, 0, 1, 1, 2, 3})                     // stamped, truncated stamp
 	f.Add(uint8(1), []byte{4, 0, 1, 1, 2, 3})                     // traced, truncated context
 	f.Add(uint8(1), append([]byte{4, 0, 1}, make([]byte, 17)...)) // traced, zero id
 	f.Add(uint8(1), []byte{0, 0x80, 1, 9})                        // seq flag, truncated seq
+	for sel := uint8(0); sel < 3; sel++ {
+		fld := fuzzField(sel)
+		f.Add(sel, AppendDataSeq(nil, fld, 9, -1, 0, TraceContext{}, sys))
+		f.Add(sel, AppendDataSeq(nil, fld, 9, 0, 123456789, TraceContext{}, sys))
+		f.Add(sel, AppendDataSeq(nil, fld, 9, SeqMod-1, 123456789, traced, sys))
+	}
 	f.Fuzz(func(t *testing.T, sel uint8, frame []byte) {
 		fld := fuzzField(sel)
-		thread, stamp, tc, p, err := DecodeDataTraced(fld, frame)
+		thread, seq, stamp, tc, p, err := DecodeDataSeq(fld, frame)
 		if err != nil {
-			// The seq-aware decoder must agree that the frame is bad.
-			if _, _, _, _, _, err2 := DecodeDataSeq(fld, frame); err2 == nil {
-				t.Fatalf("DecodeDataSeq accepted a frame DecodeDataTraced rejects")
-			}
 			return
 		}
-		// The seq-aware decoder accepts everything the traced one does and
-		// agrees on every shared field; the seq itself round-trips through
-		// the seq-stamped encoder.
-		thS, seq, stampS, tcS, pS, err := DecodeDataSeq(fld, frame)
-		if err != nil {
-			t.Fatalf("DecodeDataSeq rejected a frame DecodeDataTraced accepts: %v", err)
-		}
-		if thS != thread || stampS != stamp || tcS != tc {
-			t.Fatalf("decoders disagree: thread %d/%d stamp %d/%d tc %+v/%+v",
-				thread, thS, stamp, stampS, tc, tcS)
-		}
+		defer p.Release()
 		if seq < -1 || seq >= SeqMod {
 			t.Fatalf("seq %d outside [-1, %d)", seq, SeqMod)
 		}
-		if seq >= 0 {
-			againSeq := EncodeDataSeq(fld, thS, seq, stampS, tcS, pS)
-			_, seq2, _, _, _, err := DecodeDataSeq(fld, againSeq)
-			if err != nil || seq2 != seq {
-				t.Fatalf("seq round trip: %d -> %d, err %v", seq, seq2, err)
-			}
-		}
-		pS.Release()
 		// Header fields must not have conjured state beyond the input:
 		// everything in the packet was carried by the frame itself.
 		if p.WireSize(fld) > len(frame) {
 			t.Fatalf("decoded packet claims %d wire bytes from a %d-byte frame", p.WireSize(fld), len(frame))
 		}
 		// A frame the decoder calls traced must carry a usable context.
-		if len(frame) > 0 && frame[0] == 4 && !tc.Traced() {
+		if frame[0] == frameDataTraced && !tc.Traced() {
 			t.Fatalf("traced frame accepted with zero trace id")
 		}
-		again := EncodeDataTraced(fld, thread, stamp, tc, p)
-		thread2, stamp2, tc2, p2, err := DecodeDataTraced(fld, again)
+		again := AppendDataSeq(nil, fld, thread, seq, stamp, tc, p)
+		thread2, seq2, stamp2, tc2, p2, err := DecodeDataSeq(fld, again)
 		if err != nil {
 			t.Fatalf("decode of re-encoded frame failed: %v", err)
 		}
-		if thread2 != thread {
-			t.Fatalf("thread changed across round trip: %d -> %d", thread, thread2)
-		}
+		defer p2.Release()
 		// Traced frames carry the stamp verbatim; otherwise a non-positive
-		// stamp encodes as the unstamped variant.
+		// stamp encodes as the unstamped layout.
 		wantStamp := stamp
 		if !tc.Traced() && wantStamp <= 0 {
 			wantStamp = 0
 		}
-		if stamp2 != wantStamp {
-			t.Fatalf("stamp changed across round trip: %d -> %d", stamp, stamp2)
+		if thread2 != thread || seq2 != seq || stamp2 != wantStamp || tc2 != tc {
+			t.Fatalf("header changed across round trip: thread %d/%d seq %d/%d stamp %d/%d tc %+v/%+v",
+				thread, thread2, seq, seq2, stamp, stamp2, tc, tc2)
 		}
-		if tc2 != tc {
-			t.Fatalf("trace context changed across round trip: %+v -> %+v", tc, tc2)
-		}
-		if p2.Gen != p.Gen || !equalCoeff(p2.Coeff, p.Coeff) || !bytes.Equal(p2.Payload, p.Payload) {
+		if !samePacket(p, p2) {
 			t.Fatalf("packet changed across round trip:\n%+v\n%+v", p, p2)
 		}
 	})
 }
 
-func equalCoeff(a, b []uint16) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// samePacket reports whether two packets carry the same generation,
+// coefficients, systematic marking and payload.
+func samePacket(a, b *rlnc.Packet) bool {
+	return a.Gen == b.Gen && a.Sys == b.Sys && a.SysIdx == b.SysIdx &&
+		slices.Equal(a.Coeff, b.Coeff) && bytes.Equal(a.Payload, b.Payload)
 }
 
-// FuzzDecodeKeepalive covers the third frame kind; it must never panic
-// and must round-trip the thread index for every frame it accepts. The
-// echo extension decoder must accept exactly the same frames and agree on
-// the thread, round-tripping the timestamp pair through the echo encoder.
+// FuzzDecodeKeepalive covers the keepalive frame: it must never panic,
+// must reject anything shorter than the layout, and must round-trip every
+// KeepaliveInfo it accepts.
 func FuzzDecodeKeepalive(f *testing.F) {
-	f.Add(EncodeKeepalive(0))
-	f.Add(EncodeKeepalive(65535))
-	f.Add([]byte{2})
-	f.Add(EncodeKeepaliveEcho(3, 123456789, 0, 0))              // probe
-	f.Add(EncodeKeepaliveEcho(3, 0, 123456789, 42))             // echo
-	f.Add(append(EncodeKeepalive(1), 0xde, 0xad))               // trailing bytes: tolerated
-	f.Add(append(EncodeKeepaliveEcho(1, 1, 0, 0), 0xbe))        // over-long echo: tolerated
-	f.Add(EncodeKeepaliveEcho(9, 1, 0, 0)[:keepaliveEchoLen-1]) // truncated extension
+	f.Add(EncodeKeepalive(0, 0, 0, 0))                  // plain beat
+	f.Add(EncodeKeepalive(65535, 0, 0, 0))              // widest thread
+	f.Add([]byte{2})                                    // kind byte only
+	f.Add(EncodeKeepalive(3, 123456789, 0, 0))          // probe
+	f.Add(EncodeKeepalive(3, 0, 123456789, 42))         // echo
+	f.Add([]byte{2, 0x12, 0x34})                        // thread word only
+	f.Add(append(EncodeKeepalive(1, 1, 0, 0), 0xbe))    // trailing bytes: tolerated
+	f.Add(EncodeKeepalive(9, 1, 0, 0)[:keepaliveLen-1]) // truncated
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		thread, err := DecodeKeepalive(frame)
+		ki, err := DecodeKeepalive(frame)
 		if err != nil {
-			if _, err2 := DecodeKeepaliveEcho(frame); err2 == nil {
-				t.Fatalf("echo decoder accepted a frame DecodeKeepalive rejects")
-			}
 			return
 		}
-		if got, err := DecodeKeepalive(EncodeKeepalive(thread)); err != nil || got != thread {
-			t.Fatalf("keepalive round trip: thread %d -> %d, err %v", thread, got, err)
+		if len(frame) < keepaliveLen {
+			t.Fatalf("accepted a %d-byte keepalive", len(frame))
 		}
-		ki, err := DecodeKeepaliveEcho(frame)
-		if err != nil {
-			t.Fatalf("echo decoder rejected a frame DecodeKeepalive accepts: %v", err)
+		again := EncodeKeepalive(ki.Thread, ki.TxNanos, ki.EchoNanos, ki.HoldNanos)
+		if !bytes.Equal(again, frame[:keepaliveLen]) {
+			t.Fatalf("re-encoding %+v: got %x, want %x", ki, again, frame[:keepaliveLen])
 		}
-		if ki.Thread != thread {
-			t.Fatalf("decoders disagree on thread: %d vs %d", thread, ki.Thread)
-		}
-		again := EncodeKeepaliveEcho(ki.Thread, ki.TxNanos, ki.EchoNanos, ki.HoldNanos)
-		ki2, err := DecodeKeepaliveEcho(again)
-		if err != nil || ki2 != ki {
-			t.Fatalf("echo round trip: %+v -> %+v, err %v", ki, ki2, err)
+		if ki2, err := DecodeKeepalive(again); err != nil || ki2 != ki {
+			t.Fatalf("keepalive round trip: %+v -> %+v, err %v", ki, ki2, err)
 		}
 	})
 }
@@ -298,61 +269,6 @@ func TestControlRoundTripAllTypes(t *testing.T) {
 		DelayP50Nanos: 10, DelayP90Nanos: 20, DelayP99Nanos: 30, OverheadPermille: 1100}, &StatsReport{})
 }
 
-// TestDataRoundTripTraced pins the traced frame variant across the three
-// fields: the context survives exactly (including hop saturation values
-// and a zero stamp, which the traced variant carries verbatim), and the
-// two malformed shapes — truncated context, zero trace ID — are rejected
-// as errors rather than mis-routed to another variant.
-func TestDataRoundTripTraced(t *testing.T) {
-	t.Parallel()
-	for _, fld := range []gf.Field{gf.F2, gf.F256, gf.F65536} {
-		p := &rlnc.Packet{Gen: 7, Coeff: []uint16{1, 0, 1, 1}, Payload: []byte("traced-payload")}
-		for _, tc := range []TraceContext{
-			{ID: 1, Hop: 1},
-			{ID: ^uint64(0), Hop: 255},
-			{ID: 0xdeadbeefcafe, Hop: 0},
-		} {
-			for _, stamp := range []int64{0, 42} {
-				frame := EncodeDataTraced(fld, 3, stamp, tc, p)
-				thread, gotStamp, gotTC, q, err := DecodeDataTraced(fld, frame)
-				if err != nil {
-					t.Fatalf("field %d tc=%+v stamp=%d: %v", fld.Bits(), tc, stamp, err)
-				}
-				if thread != 3 || gotStamp != stamp || gotTC != tc {
-					t.Fatalf("field %d: got thread=%d stamp=%d tc=%+v, want 3/%d/%+v",
-						fld.Bits(), thread, gotStamp, gotTC, stamp, tc)
-				}
-				if q.Gen != p.Gen || !equalCoeff(q.Coeff, p.Coeff) || !bytes.Equal(q.Payload, p.Payload) {
-					t.Fatalf("field %d tc=%+v: packet mismatch", fld.Bits(), tc)
-				}
-				// The plain decoder must accept the traced frame too,
-				// dropping only the context.
-				thread, gotStamp, q2, err := DecodeData(fld, frame)
-				if err != nil || thread != 3 || gotStamp != stamp || q2.Gen != p.Gen {
-					t.Fatalf("field %d: DecodeData on traced frame: %v", fld.Bits(), err)
-				}
-			}
-		}
-		// An untraced context must produce the exact legacy encoding.
-		for _, stamp := range []int64{0, 99} {
-			traced := EncodeDataTraced(fld, 3, stamp, TraceContext{}, p)
-			plain := EncodeData(fld, 3, stamp, p)
-			if !bytes.Equal(traced, plain) {
-				t.Fatalf("field %d stamp=%d: untraced encoding diverged from legacy", fld.Bits(), stamp)
-			}
-		}
-		// Malformed traced frames: truncated context and zero trace ID.
-		if _, _, _, _, err := DecodeDataTraced(fld, []byte{4, 0, 3, 1, 2}); err == nil {
-			t.Fatalf("field %d: truncated traced frame accepted", fld.Bits())
-		}
-		zero := append([]byte{4, 0, 3}, make([]byte, 17)...)
-		zero = p.AppendTo(zero, fld)
-		if _, _, _, _, err := DecodeDataTraced(fld, zero); err == nil {
-			t.Fatalf("field %d: zero-trace-id frame accepted", fld.Bits())
-		}
-	}
-}
-
 // TestTracedHotPathAllocs is the tracing-overhead guard: with sampling
 // off (a zero TraceContext), the pooled emit and receive paths must not
 // allocate at all — enabling the tracing code paths costs nothing unless
@@ -363,11 +279,11 @@ func TestTracedHotPathAllocs(t *testing.T) {
 	}
 	fld := gf.F256
 	src := &rlnc.Packet{Gen: 1, Coeff: []uint16{3, 1, 4, 1}, Payload: make([]byte, 256)}
-	frame := EncodeDataTraced(fld, 2, 12345, TraceContext{}, src)
+	frame := AppendDataSeq(nil, fld, 2, -1, 12345, TraceContext{}, src)
 	hot := func() {
 		buf := rlnc.GetFrameBuf()
-		*buf = AppendDataTraced(*buf, fld, 2, 12345, TraceContext{}, src)
-		_, _, _, p, err := DecodeDataTraced(fld, frame)
+		*buf = AppendDataSeq(*buf, fld, 2, -1, 12345, TraceContext{}, src)
+		_, _, _, _, p, err := DecodeDataSeq(fld, frame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,74 +299,27 @@ func TestTracedHotPathAllocs(t *testing.T) {
 	}
 }
 
-// TestDataRoundTripSeq pins the seq-stamped variant across the three
-// fields and all three kind combinations (plain, stamped, traced): the
-// sequence number survives exactly, including the wrap-point extremes, and
-// seq < 0 delegates to the legacy encoder byte for byte.
-func TestDataRoundTripSeq(t *testing.T) {
-	t.Parallel()
-	for _, fld := range []gf.Field{gf.F2, gf.F256, gf.F65536} {
-		p := &rlnc.Packet{Gen: 7, Coeff: []uint16{1, 0, 1, 1}, Payload: []byte("seq-payload")}
-		for _, seq := range []int32{0, 1, 1 << 12, SeqMod - 1} {
-			for _, stamp := range []int64{0, 42} {
-				for _, tc := range []TraceContext{{}, {ID: 0xabc, Hop: 3}} {
-					frame := EncodeDataSeq(fld, 5, seq, stamp, tc, p)
-					th, gotSeq, gotStamp, gotTC, q, err := DecodeDataSeq(fld, frame)
-					if err != nil {
-						t.Fatalf("field %d seq=%d stamp=%d tc=%+v: %v", fld.Bits(), seq, stamp, tc, err)
-					}
-					if th != 5 || gotSeq != seq || gotStamp != stamp || gotTC != tc {
-						t.Fatalf("field %d: got th=%d seq=%d stamp=%d tc=%+v, want 5/%d/%d/%+v",
-							fld.Bits(), th, gotSeq, gotStamp, gotTC, seq, stamp, tc)
-					}
-					if q.Gen != p.Gen || !equalCoeff(q.Coeff, p.Coeff) || !bytes.Equal(q.Payload, p.Payload) {
-						t.Fatalf("field %d seq=%d: packet mismatch", fld.Bits(), seq)
-					}
-					// The legacy decoders must accept the stamped frame too,
-					// dropping only the seq.
-					th2, stamp2, tc2, _, err := DecodeDataTraced(fld, frame)
-					if err != nil || th2 != 5 || stamp2 != stamp || tc2 != tc {
-						t.Fatalf("field %d: DecodeDataTraced on seq frame: th=%d stamp=%d tc=%+v err=%v",
-							fld.Bits(), th2, stamp2, tc2, err)
-					}
-				}
-			}
-		}
-		// seq < 0 must produce the exact legacy encoding — the flag bit
-		// stays clear and not one byte differs.
-		for _, tc := range []TraceContext{{}, {ID: 9, Hop: 1}} {
-			for _, stamp := range []int64{0, 99} {
-				legacy := EncodeDataTraced(fld, 5, stamp, tc, p)
-				seqless := EncodeDataSeq(fld, 5, -1, stamp, tc, p)
-				if !bytes.Equal(legacy, seqless) {
-					t.Fatalf("field %d stamp=%d tc=%+v: seq<0 encoding diverged from legacy", fld.Bits(), stamp, tc)
-				}
-				if legacy[1]&0x80 != 0 {
-					t.Fatalf("field %d: legacy frame has the seq flag set", fld.Bits())
-				}
-			}
-		}
-		// A seq-flagged frame whose body ends before the 3 seq bytes is
-		// malformed, not mis-read as an unstamped frame.
-		if _, _, _, _, _, err := DecodeDataSeq(fld, []byte{0, 0x80, 5, 1, 2}); err == nil {
-			t.Fatalf("field %d: truncated seq frame accepted", fld.Bits())
-		}
-	}
-}
-
 // TestDataFrameGoldenLayout pins the exact byte layout of every data-frame
-// header variant. These bytes are the wire protocol: a mixed-version fleet
-// only works if they never shift.
+// header and of the keepalive. These bytes are the wire protocol: a
+// mixed-version fleet only works if they never shift. The systematic rows
+// also pin what the end-to-end benchmark's recorder parses by hand: the
+// thread word at bytes 1–2 (top bit = seq flag) and the systematic flag in
+// bit 31 of the rlnc length word, 6 bytes past the frame header.
 func TestDataFrameGoldenLayout(t *testing.T) {
 	t.Parallel()
 	fld := gf.F256
 	p := &rlnc.Packet{Gen: 3, Coeff: []uint16{1, 2, 3}, Payload: []byte("hi")}
 	body := p.AppendTo(nil, fld)
+	sys := &rlnc.Packet{Gen: 3, Coeff: []uint16{0, 1, 0}, Sys: true, SysIdx: 1, Payload: []byte("hi")}
+	// gen 3, 3 coefficients, length word 0x80000002 (systematic, 2 bytes),
+	// systematic index 1, payload.
+	sysBody := []byte{0, 0, 0, 3, 0, 3, 0x80, 0, 0, 2, 0, 1, 'h', 'i'}
 
 	stamp8 := make([]byte, 8)
 	binary.BigEndian.PutUint64(stamp8, 99)
 	id8 := make([]byte, 8)
 	binary.BigEndian.PutUint64(id8, 0xabc)
+	tc := TraceContext{ID: 0xabc, Hop: 2}
 
 	join := func(parts ...[]byte) []byte {
 		var out []byte
@@ -464,65 +333,34 @@ func TestDataFrameGoldenLayout(t *testing.T) {
 		frame []byte
 		want  []byte
 	}{
-		{"plain", EncodeData(fld, 9, 0, p), join([]byte{0, 0, 9}, body)},
-		{"stamped", EncodeData(fld, 9, 99, p), join([]byte{3, 0, 9}, stamp8, body)},
-		{"traced", EncodeDataTraced(fld, 9, 99, TraceContext{ID: 0xabc, Hop: 2}, p),
+		{"plain", AppendDataSeq(nil, fld, 9, -1, 0, TraceContext{}, p), join([]byte{0, 0, 9}, body)},
+		{"stamped", AppendDataSeq(nil, fld, 9, -1, 99, TraceContext{}, p), join([]byte{3, 0, 9}, stamp8, body)},
+		{"traced", AppendDataSeq(nil, fld, 9, -1, 99, tc, p),
 			join([]byte{4, 0, 9}, stamp8, id8, []byte{2}, body)},
-		{"seq-plain", EncodeDataSeq(fld, 9, 0x010203, 0, TraceContext{}, p),
+		{"seq-plain", AppendDataSeq(nil, fld, 9, 0x010203, 0, TraceContext{}, p),
 			join([]byte{0, 0x80, 9, 1, 2, 3}, body)},
-		{"seq-stamped", EncodeDataSeq(fld, 9, 0x010203, 99, TraceContext{}, p),
+		{"seq-stamped", AppendDataSeq(nil, fld, 9, 0x010203, 99, TraceContext{}, p),
 			join([]byte{3, 0x80, 9, 1, 2, 3}, stamp8, body)},
-		{"seq-traced", EncodeDataSeq(fld, 9, 0x010203, 99, TraceContext{ID: 0xabc, Hop: 2}, p),
+		{"seq-traced", AppendDataSeq(nil, fld, 9, 0x010203, 99, tc, p),
 			join([]byte{4, 0x80, 9, 1, 2, 3}, stamp8, id8, []byte{2}, body)},
-		{"keepalive", EncodeKeepalive(0x1234), []byte{2, 0x12, 0x34}},
-		{"keepalive-echo", EncodeKeepaliveEcho(0x1234, 99, 0, 0),
+		{"sys-plain", AppendDataSeq(nil, fld, 9, -1, 0, TraceContext{}, sys), join([]byte{0, 0, 9}, sysBody)},
+		{"sys-stamped", AppendDataSeq(nil, fld, 9, -1, 99, TraceContext{}, sys), join([]byte{3, 0, 9}, stamp8, sysBody)},
+		{"sys-traced", AppendDataSeq(nil, fld, 9, -1, 99, tc, sys),
+			join([]byte{4, 0, 9}, stamp8, id8, []byte{2}, sysBody)},
+		{"sys-seq-plain", AppendDataSeq(nil, fld, 9, 0x010203, 0, TraceContext{}, sys),
+			join([]byte{0, 0x80, 9, 1, 2, 3}, sysBody)},
+		{"sys-seq-stamped", AppendDataSeq(nil, fld, 9, 0x010203, 99, TraceContext{}, sys),
+			join([]byte{3, 0x80, 9, 1, 2, 3}, stamp8, sysBody)},
+		{"sys-seq-traced", AppendDataSeq(nil, fld, 9, 0x010203, 99, tc, sys),
+			join([]byte{4, 0x80, 9, 1, 2, 3}, stamp8, id8, []byte{2}, sysBody)},
+		{"keepalive", EncodeKeepalive(0x1234, 0, 0, 0), join([]byte{2, 0x12, 0x34}, make([]byte, 24))},
+		{"keepalive-probe", EncodeKeepalive(0x1234, 99, 0, 0),
 			join([]byte{2, 0x12, 0x34}, stamp8, make([]byte, 16))},
 	}
 	for _, c := range cases {
 		if !bytes.Equal(c.frame, c.want) {
 			t.Errorf("%s layout:\n got %x\nwant %x", c.name, c.frame, c.want)
 		}
-	}
-}
-
-// TestKeepaliveMixedVersions is the version-skew regression: an old node's
-// 3-byte keepalive and a new node's 27-byte echo keepalive must each be
-// accepted by the other side's decoder. Before this fix DecodeKeepalive
-// hard-failed on any frame != 3 bytes, so one extended keepalive from an
-// upgraded peer silently killed the link's liveness signal.
-func TestKeepaliveMixedVersions(t *testing.T) {
-	t.Parallel()
-	// New → old: the legacy decoder reads the thread and ignores the
-	// trailing timestamps.
-	probe := EncodeKeepaliveEcho(7, 123456789, 0, 0)
-	if th, err := DecodeKeepalive(probe); err != nil || th != 7 {
-		t.Fatalf("legacy decode of echo keepalive: th=%d err=%v", th, err)
-	}
-	// Old → new: the echo decoder reads a legacy frame as
-	// timestamp-free — neither a probe nor an echo, so no RTT math runs.
-	ki, err := DecodeKeepaliveEcho(EncodeKeepalive(7))
-	if err != nil || ki.Thread != 7 || ki.IsProbe() || ki.IsEcho() {
-		t.Fatalf("echo decode of legacy keepalive: %+v err=%v", ki, err)
-	}
-	// Future extensions: trailing bytes beyond either layout are ignored.
-	long := append(EncodeKeepaliveEcho(7, 1, 2, 3), 0xff, 0xee)
-	if th, err := DecodeKeepalive(long); err != nil || th != 7 {
-		t.Fatalf("legacy decode of over-long keepalive: th=%d err=%v", th, err)
-	}
-	if ki, err := DecodeKeepaliveEcho(long); err != nil || ki.TxNanos != 1 || ki.EchoNanos != 2 || ki.HoldNanos != 3 {
-		t.Fatalf("echo decode of over-long keepalive: %+v err=%v", ki, err)
-	}
-	// Truncated frames are still malformed.
-	if _, err := DecodeKeepalive([]byte{2, 0}); err == nil {
-		t.Fatal("2-byte keepalive accepted")
-	}
-	// Probe/echo classification.
-	if ki, _ := DecodeKeepaliveEcho(probe); !ki.IsProbe() || ki.IsEcho() {
-		t.Fatalf("probe misclassified: %+v", ki)
-	}
-	echo := EncodeKeepaliveEcho(7, 0, 123456789, 42)
-	if ki, _ := DecodeKeepaliveEcho(echo); ki.IsProbe() || !ki.IsEcho() {
-		t.Fatalf("echo misclassified: %+v", ki)
 	}
 }
 
@@ -560,37 +398,163 @@ func TestLinkHotPathAllocs(t *testing.T) {
 	}
 }
 
-// TestDataRoundTripAllFields pins the binary codec across the three
-// fields and both frame variants, including the GF(2) bit-packing edges
-// (coefficient counts straddling byte boundaries).
+// dataTestPackets returns, for fld, coded packets at the GF(2) bit-packing
+// edges (coefficient counts straddling byte boundaries) and a systematic
+// packet for each count.
+func dataTestPackets(fld gf.Field) []*rlnc.Packet {
+	max := uint16(1)
+	if fld.Bits() == 8 {
+		max = 255
+	} else if fld.Bits() == 16 {
+		max = 65535
+	}
+	var packets []*rlnc.Packet
+	for _, n := range []int{1, 7, 8, 9, 16, 33} {
+		coeff := make([]uint16, n)
+		for i := range coeff {
+			coeff[i] = uint16(i*31+1) & max
+		}
+		packets = append(packets, &rlnc.Packet{Gen: uint32(n), Coeff: coeff, Payload: []byte("payload-bytes")})
+		unit := make([]uint16, n)
+		unit[n-1] = 1
+		packets = append(packets, &rlnc.Packet{Gen: uint32(n), Coeff: unit, Sys: true, SysIdx: uint16(n - 1), Payload: []byte("sys-bytes")})
+	}
+	return packets
+}
+
+// checkDataRoundTrip encodes p with (seq, stamp, tc) on thread 5 and
+// checks the frame classifies as data and decodes to exactly what went in.
+func checkDataRoundTrip(t *testing.T, fld gf.Field, seq int32, stamp int64, tc TraceContext, p *rlnc.Packet) {
+	t.Helper()
+	frame := AppendDataSeq(nil, fld, 5, seq, stamp, tc, p)
+	if !IsData(frame) || !DataPlaneFrame(frame) || IsKeepalive(frame) {
+		t.Fatalf("field %d: data frame misclassified", fld.Bits())
+	}
+	if seq < 0 && frame[1]&0x80 != 0 {
+		t.Fatalf("field %d: seq<0 frame has the seq flag set", fld.Bits())
+	}
+	th, gotSeq, gotStamp, gotTC, q, err := DecodeDataSeq(fld, frame)
+	if err != nil {
+		t.Fatalf("field %d n=%d seq=%d stamp=%d tc=%+v: %v", fld.Bits(), len(p.Coeff), seq, stamp, tc, err)
+	}
+	if th != 5 || gotSeq != seq || gotStamp != stamp || gotTC != tc {
+		t.Fatalf("field %d: got th=%d seq=%d stamp=%d tc=%+v, want 5/%d/%d/%+v",
+			fld.Bits(), th, gotSeq, gotStamp, gotTC, seq, stamp, tc)
+	}
+	if !samePacket(p, q) {
+		t.Fatalf("field %d n=%d sys=%v: packet mismatch", fld.Bits(), len(p.Coeff), p.Sys)
+	}
+}
+
+// TestDataRoundTripAllFields pins the data-frame codec across the three
+// fields for coded packets at the GF(2) bit-packing edges and systematic
+// packets, with and without a sequence number and a stamp.
 func TestDataRoundTripAllFields(t *testing.T) {
 	t.Parallel()
 	for _, fld := range []gf.Field{gf.F2, gf.F256, gf.F65536} {
-		max := uint16(1)
-		if fld.Bits() == 8 {
-			max = 255
-		} else if fld.Bits() == 16 {
-			max = 65535
-		}
-		for _, n := range []int{1, 7, 8, 9, 16, 33} {
-			coeff := make([]uint16, n)
-			for i := range coeff {
-				coeff[i] = uint16(i*31+1) & max
-			}
-			p := &rlnc.Packet{Gen: uint32(n), Coeff: coeff, Payload: []byte("payload-bytes")}
-			for _, stamp := range []int64{0, 42} {
-				frame := EncodeData(fld, n, stamp, p)
-				thread, gotStamp, q, err := DecodeData(fld, frame)
-				if err != nil {
-					t.Fatalf("field %d n=%d stamp=%d: %v", fld.Bits(), n, stamp, err)
-				}
-				if thread != n || gotStamp != stamp {
-					t.Fatalf("field %d n=%d: thread/stamp %d/%d", fld.Bits(), n, thread, gotStamp)
-				}
-				if q.Gen != p.Gen || !equalCoeff(q.Coeff, p.Coeff) || !bytes.Equal(q.Payload, p.Payload) {
-					t.Fatalf("field %d n=%d: packet mismatch", fld.Bits(), n)
+		for _, p := range dataTestPackets(fld) {
+			for _, seq := range []int32{-1, 0, SeqMod - 1} {
+				for _, stamp := range []int64{0, 42} {
+					checkDataRoundTrip(t, fld, seq, stamp, TraceContext{}, p)
 				}
 			}
 		}
+	}
+}
+
+// TestDataRoundTripTraced pins the traced layout across the three fields:
+// the context survives exactly (including the ID and hop extremes, and a
+// zero stamp, which the traced layout carries verbatim) with and without a
+// sequence number, and the two malformed shapes — truncated context, zero
+// trace ID — are rejected as errors rather than mis-read as another layout.
+func TestDataRoundTripTraced(t *testing.T) {
+	t.Parallel()
+	for _, fld := range []gf.Field{gf.F2, gf.F256, gf.F65536} {
+		packets := dataTestPackets(fld)
+		for _, p := range packets {
+			for _, tc := range []TraceContext{{ID: 1, Hop: 1}, {ID: ^uint64(0), Hop: 255}, {ID: 0xdeadbeefcafe, Hop: 0}} {
+				for _, seq := range []int32{-1, 0, SeqMod - 1} {
+					for _, stamp := range []int64{0, 42} {
+						checkDataRoundTrip(t, fld, seq, stamp, tc, p)
+					}
+				}
+			}
+		}
+		if _, _, _, _, _, err := DecodeDataSeq(fld, []byte{4, 0, 3, 1, 2}); err == nil {
+			t.Fatalf("field %d: truncated traced frame accepted", fld.Bits())
+		}
+		zero := append([]byte{4, 0, 3}, make([]byte, 17)...)
+		zero = packets[0].AppendTo(zero, fld)
+		if _, _, _, _, _, err := DecodeDataSeq(fld, zero); err == nil {
+			t.Fatalf("field %d: zero-trace-id frame accepted", fld.Bits())
+		}
+	}
+}
+
+// TestDataRoundTripSeq pins the sequence number across the three fields
+// and every header combination (plain, stamped, traced): it survives
+// exactly, including the wrap-point extremes; seq < 0 leaves the flag bit
+// clear; and a seq-flagged frame whose body ends before the 3 seq bytes is
+// malformed, not mis-read as an unstamped frame.
+func TestDataRoundTripSeq(t *testing.T) {
+	t.Parallel()
+	for _, fld := range []gf.Field{gf.F2, gf.F256, gf.F65536} {
+		coded := &rlnc.Packet{Gen: 7, Coeff: []uint16{1, 0, 1, 1}, Payload: []byte("seq-payload")}
+		sys := &rlnc.Packet{Gen: 7, Coeff: []uint16{0, 0, 1, 0}, Sys: true, SysIdx: 2, Payload: []byte("seq-sys")}
+		for _, p := range []*rlnc.Packet{coded, sys} {
+			for _, seq := range []int32{-1, 0, 1, 1 << 12, SeqMod - 1} {
+				for _, stamp := range []int64{0, 42} {
+					for _, tc := range []TraceContext{{}, {ID: 0xabc, Hop: 3}} {
+						checkDataRoundTrip(t, fld, seq, stamp, tc, p)
+					}
+				}
+			}
+		}
+		if _, _, _, _, _, err := DecodeDataSeq(fld, []byte{0, 0x80, 5, 1, 2}); err == nil {
+			t.Fatalf("field %d: truncated seq frame accepted", fld.Bits())
+		}
+	}
+}
+
+// TestKeepaliveRoundTrip pins the keepalive codec: a plain beat, a probe
+// and an echo each round-trip and classify as exactly one of neither,
+// probe or echo; trailing bytes are tolerated; anything shorter than the
+// 27-byte layout — down to a bare kind byte — is rejected, as is another
+// frame kind.
+func TestKeepaliveRoundTrip(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		name        string
+		in          KeepaliveInfo
+		probe, echo bool
+	}{
+		{"beat", KeepaliveInfo{Thread: 7}, false, false},
+		{"probe", KeepaliveInfo{Thread: 7, TxNanos: 123456789}, true, false},
+		{"echo", KeepaliveInfo{Thread: 7, EchoNanos: 123456789, HoldNanos: 42}, false, true},
+		{"widest-thread", KeepaliveInfo{Thread: 65535, TxNanos: 1}, true, false},
+	} {
+		frame := EncodeKeepalive(c.in.Thread, c.in.TxNanos, c.in.EchoNanos, c.in.HoldNanos)
+		if !IsKeepalive(frame) || !DataPlaneFrame(frame) || IsData(frame) {
+			t.Fatalf("%s: keepalive misclassified", c.name)
+		}
+		long := append(slices.Clip(frame), 0xff, 0xee)
+		for _, f := range [][]byte{frame, long} {
+			ki, err := DecodeKeepalive(f)
+			if err != nil || ki != c.in {
+				t.Fatalf("%s (%d bytes): decoded %+v err=%v, want %+v", c.name, len(f), ki, err, c.in)
+			}
+			if ki.IsProbe() != c.probe || ki.IsEcho() != c.echo {
+				t.Fatalf("%s: probe=%v echo=%v, want %v/%v", c.name, ki.IsProbe(), ki.IsEcho(), c.probe, c.echo)
+			}
+		}
+		for n := range keepaliveLen {
+			if _, err := DecodeKeepalive(frame[:n]); err == nil {
+				t.Fatalf("%s: %d-byte keepalive accepted", c.name, n)
+			}
+		}
+	}
+	notKA := append([]byte{frameData}, make([]byte, keepaliveLen)...)
+	if _, err := DecodeKeepalive(notKA); err == nil {
+		t.Fatal("data frame decoded as a keepalive")
 	}
 }

@@ -82,9 +82,8 @@ const (
 // seqFlag marks a data frame whose header carries a per-(sender, thread)
 // 24-bit sequence number right after the thread word. It lives in the
 // top bit of the thread field — threads are bounded far below 2^15, so
-// the bit is always zero in legacy frames (the same spare-bit trick the
-// systematic flag uses in the rlnc length word), which keeps unstamped
-// encodings byte-identical.
+// the bit is otherwise always zero (the same spare-bit trick the
+// systematic flag uses in the rlnc length word).
 const seqFlag uint16 = 1 << 15
 
 // SeqMod is the sequence-number space of the per-(sender, thread)
@@ -318,62 +317,37 @@ func DecodeControl(frame []byte) (MsgType, json.RawMessage, error) {
 	return env.Type, env.Payload, nil
 }
 
-// AppendData appends a data frame — one coded packet traveling on a
-// thread — to buf and returns the extended slice. emitNanos, when
-// positive, is the source's first-emission time for the packet's
-// generation (unix nanoseconds); it travels in a stamped frame variant so
-// every receiver, however many overlay hops away, can measure true
-// end-to-end decode delay. Zero emits the compact unstamped frame. With a
-// buffer from rlnc.GetFrameBuf the steady-state send path encodes without
-// allocating: both transports copy the frame during Send, so the buffer
-// can go back to the pool as soon as Send returns.
-func AppendData(buf []byte, f gf.Field, thread int, emitNanos int64, p *rlnc.Packet) []byte {
-	if emitNanos > 0 {
-		buf = append(buf, frameDataTS, byte(thread>>8), byte(thread))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(emitNanos))
-	} else {
-		buf = append(buf, frameData, byte(thread>>8), byte(thread))
-	}
-	return p.AppendTo(buf, f)
-}
-
-// AppendDataTraced appends a data frame carrying a dissemination-trace
-// context. An untraced context (ID 0) delegates to AppendData, so the
-// non-sampled hot path emits exactly the frames it always did — same
-// bytes, zero extra allocations. A traced frame always carries the stamp
-// (a sampled generation without a stamp would make per-hop latency
-// unmeasurable), so emitNanos rides even when zero.
-func AppendDataTraced(buf []byte, f gf.Field, thread int, emitNanos int64, tc TraceContext, p *rlnc.Packet) []byte {
-	if !tc.Traced() {
-		return AppendData(buf, f, thread, emitNanos, p)
-	}
-	buf = append(buf, frameDataTraced, byte(thread>>8), byte(thread))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(emitNanos))
-	buf = binary.BigEndian.AppendUint64(buf, tc.ID)
-	buf = append(buf, tc.Hop)
-	return p.AppendTo(buf, f)
-}
-
-// AppendDataSeq appends a data frame stamped with a per-(sender, thread)
-// sequence number in [0, SeqMod), from which receivers estimate per-peer
-// loss, reordering, and duplication on the lossy datagram plane. A
-// negative seq delegates to AppendDataTraced, so senders on reliable
-// transports emit exactly the frames they always did — same bytes, zero
-// extra allocations. The sequence rides in 3 bytes between the thread
-// word (whose top bit flags its presence) and the variant's stamp/trace
-// fields, in every data-frame variant.
+// AppendDataSeq appends a data frame — one coded packet traveling on a
+// thread — to buf and returns the extended slice. It is the one data-frame
+// encoder; the header carries only the fields the caller sets:
+//
+//   - seq >= 0 flags the thread word's top bit and adds a 3-byte
+//     per-(sender, thread) sequence number in [0, SeqMod), from which
+//     receivers estimate per-peer loss, reordering and duplication on the
+//     lossy datagram plane;
+//   - emitNanos > 0 is the source's first-emission time for the packet's
+//     generation (unix nanoseconds), carried in the stamped kind so every
+//     receiver, however many hops away, measures end-to-end decode delay;
+//   - a traced context selects the traced kind, which carries the stamp
+//     verbatim (even zero: a sampled generation without one would make
+//     per-hop latency unmeasurable) plus the trace ID and hop count.
+//
+// With a buffer from rlnc.GetFrameBuf the steady-state send path encodes
+// without allocating: both transports copy the frame during Send, so the
+// buffer can go back to the pool as soon as Send returns.
 func AppendDataSeq(buf []byte, f gf.Field, thread int, seq int32, emitNanos int64, tc TraceContext, p *rlnc.Packet) []byte {
-	if seq < 0 {
-		return AppendDataTraced(buf, f, thread, emitNanos, tc, p)
-	}
 	kind := frameData
 	if tc.Traced() {
 		kind = frameDataTraced
 	} else if emitNanos > 0 {
 		kind = frameDataTS
 	}
-	tw := uint16(thread) | seqFlag
-	buf = append(buf, kind, byte(tw>>8), byte(tw), byte(seq>>16), byte(seq>>8), byte(seq))
+	if seq < 0 {
+		buf = append(buf, kind, byte(thread>>8), byte(thread))
+	} else {
+		tw := uint16(thread) | seqFlag
+		buf = append(buf, kind, byte(tw>>8), byte(tw), byte(seq>>16), byte(seq>>8), byte(seq))
+	}
 	if kind != frameData {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(emitNanos))
 	}
@@ -384,45 +358,11 @@ func AppendDataSeq(buf []byte, f gf.Field, thread int, seq int32, emitNanos int6
 	return p.AppendTo(buf, f)
 }
 
-// EncodeData marshals a data frame into a fresh buffer.
-func EncodeData(f gf.Field, thread int, emitNanos int64, p *rlnc.Packet) []byte {
-	return AppendData(make([]byte, 0, 11+p.WireSize(f)), f, thread, emitNanos, p)
-}
-
-// EncodeDataTraced marshals a (possibly traced) data frame into a fresh
-// buffer.
-func EncodeDataTraced(f gf.Field, thread int, emitNanos int64, tc TraceContext, p *rlnc.Packet) []byte {
-	return AppendDataTraced(make([]byte, 0, 20+p.WireSize(f)), f, thread, emitNanos, tc, p)
-}
-
-// EncodeDataSeq marshals a (possibly sequence-stamped, possibly traced)
-// data frame into a fresh buffer.
-func EncodeDataSeq(f gf.Field, thread int, seq int32, emitNanos int64, tc TraceContext, p *rlnc.Packet) []byte {
-	return AppendDataSeq(make([]byte, 0, dataFrameHeaderMax+p.WireSize(f)), f, thread, seq, emitNanos, tc, p)
-}
-
-// DecodeData unmarshals a data frame of any variant; emitNanos is 0 for
-// unstamped frames. Trace context, if present, is dropped — receivers
-// that care use DecodeDataTraced.
-func DecodeData(f gf.Field, frame []byte) (thread int, emitNanos int64, p *rlnc.Packet, err error) {
-	thread, emitNanos, _, p, err = DecodeDataTraced(f, frame)
-	return thread, emitNanos, p, err
-}
-
-// DecodeDataTraced unmarshals a data frame of any variant, returning the
-// trace context for traced frames (zero otherwise). The sequence number,
-// if present, is dropped — receivers that account per-peer loss use
-// DecodeDataSeq.
-func DecodeDataTraced(f gf.Field, frame []byte) (thread int, emitNanos int64, tc TraceContext, p *rlnc.Packet, err error) {
-	thread, _, emitNanos, tc, p, err = DecodeDataSeq(f, frame)
-	return thread, emitNanos, tc, p, err
-}
-
-// DecodeDataSeq unmarshals a data frame of any variant, returning the
+// DecodeDataSeq unmarshals any frame AppendDataSeq emits, returning the
 // per-(sender, thread) sequence number for seq-stamped frames (-1
-// otherwise) and the trace context for traced frames (zero otherwise). A
-// malformed header is an error, never a silent fallback to another
-// variant.
+// otherwise), the emission stamp (0 when unstamped) and the trace context
+// for traced frames (zero otherwise). A malformed header is an error,
+// never a silent fallback to another layout.
 func DecodeDataSeq(f gf.Field, frame []byte) (thread int, seq int32, emitNanos int64, tc TraceContext, p *rlnc.Packet, err error) {
 	if len(frame) < 3 ||
 		(frame[0] != frameData && frame[0] != frameDataTS && frame[0] != frameDataTraced) {
@@ -471,42 +411,22 @@ func IsData(frame []byte) bool {
 		(frame[0] == frameData || frame[0] == frameDataTS || frame[0] == frameDataTraced)
 }
 
-// EncodeKeepalive marshals a per-thread keepalive. A parent that has
-// nothing to forward on a thread still proves liveness with these, so that
-// downstream starvation (a failure further upstream) is never mistaken for
-// the parent's own death — without them, complaint storms would expel
-// innocent working ancestors one by one.
-func EncodeKeepalive(thread int) []byte {
-	var out [3]byte
-	out[0] = frameKeepalive
-	binary.BigEndian.PutUint16(out[1:], uint16(thread))
-	return out[:]
-}
+// keepaliveLen is the keepalive layout: kind byte, 2-byte thread, then
+// the echo timestamp triple (transmit, echoed and hold time, 8 bytes
+// each).
+const keepaliveLen = 3 + 8 + 8 + 8
 
-// DecodeKeepalive unmarshals a keepalive frame. Trailing bytes beyond
-// the 3-byte core are ignored — they belong to extensions (the echo
-// timestamp pair) that a peer from a newer version may send; rejecting
-// them would kill the link on any version skew.
-func DecodeKeepalive(frame []byte) (thread int, err error) {
-	if len(frame) < 3 || frame[0] != frameKeepalive {
-		return 0, fmt.Errorf("protocol: not a keepalive frame")
-	}
-	return int(binary.BigEndian.Uint16(frame[1:3])), nil
-}
-
-// keepaliveEchoLen is the extended keepalive layout: the 3-byte core
-// plus the echo timestamp pair (transmit time, echoed time, hold time —
-// 8 bytes each).
-const keepaliveEchoLen = 3 + 8 + 8 + 8
-
-// KeepaliveInfo is the decoded form of a keepalive frame, including the
-// echo extension when present. The exchange measures RTT over the path
-// data actually takes: a sender stamps TxNanos on its periodic
-// keepalives (a probe); the receiver answers with EchoNanos = the
-// received TxNanos and HoldNanos = its local processing delay; the
-// original sender computes RTT = now − EchoNanos − HoldNanos. An echo
-// carries TxNanos 0, so echoes are never themselves echoed. Legacy
-// 3-byte keepalives decode with all timestamps zero.
+// KeepaliveInfo is the decoded form of a keepalive frame. A parent that
+// has nothing to forward on a thread still proves liveness with these, so
+// that downstream starvation (a failure further upstream) is never
+// mistaken for the parent's own death — without them, complaint storms
+// would expel innocent working ancestors one by one. The timestamps
+// measure RTT over the path data actually takes: a sender stamps TxNanos
+// on its periodic keepalives (a probe); the receiver answers with
+// EchoNanos = the received TxNanos and HoldNanos = its local processing
+// delay; the original sender computes RTT = now − EchoNanos − HoldNanos.
+// An echo carries TxNanos 0, so echoes are never themselves echoed, and a
+// keepalive with all stamps zero is a plain liveness beat.
 type KeepaliveInfo struct {
 	Thread    int
 	TxNanos   int64
@@ -520,34 +440,32 @@ func (k KeepaliveInfo) IsProbe() bool { return k.TxNanos > 0 && k.EchoNanos == 0
 // IsEcho reports whether the keepalive answers a probe.
 func (k KeepaliveInfo) IsEcho() bool { return k.EchoNanos > 0 }
 
-// EncodeKeepaliveEcho marshals a keepalive carrying the echo timestamp
-// pair: a probe (tx set, echo/hold zero) or an echo reply (tx zero, echo
-// = the probe's tx, hold = local processing delay).
-func EncodeKeepaliveEcho(thread int, txNanos, echoNanos, holdNanos int64) []byte {
-	var out [keepaliveEchoLen]byte
+// EncodeKeepalive marshals a per-thread keepalive: a probe (tx set,
+// echo/hold zero), an echo reply (tx zero, echo = the probe's tx, hold =
+// local processing delay), or a plain beat (all zero).
+func EncodeKeepalive(thread int, txNanos, echoNanos, holdNanos int64) []byte {
+	out := make([]byte, keepaliveLen)
 	out[0] = frameKeepalive
 	binary.BigEndian.PutUint16(out[1:3], uint16(thread))
 	binary.BigEndian.PutUint64(out[3:11], uint64(txNanos))
 	binary.BigEndian.PutUint64(out[11:19], uint64(echoNanos))
 	binary.BigEndian.PutUint64(out[19:27], uint64(holdNanos))
-	return out[:]
+	return out
 }
 
-// DecodeKeepaliveEcho unmarshals a keepalive of either layout. Frames
-// shorter than the full echo extension (legacy peers) decode with zero
-// timestamps; trailing bytes beyond the known layout are ignored.
-func DecodeKeepaliveEcho(frame []byte) (KeepaliveInfo, error) {
-	thread, err := DecodeKeepalive(frame)
-	if err != nil {
-		return KeepaliveInfo{}, err
+// DecodeKeepalive unmarshals a keepalive frame. Frames shorter than the
+// layout are malformed; trailing bytes beyond it are ignored, so a later
+// extension does not kill the link's liveness signal.
+func DecodeKeepalive(frame []byte) (KeepaliveInfo, error) {
+	if len(frame) < keepaliveLen || frame[0] != frameKeepalive {
+		return KeepaliveInfo{}, fmt.Errorf("protocol: not a keepalive frame")
 	}
-	ki := KeepaliveInfo{Thread: thread}
-	if len(frame) >= keepaliveEchoLen {
-		ki.TxNanos = int64(binary.BigEndian.Uint64(frame[3:11]))
-		ki.EchoNanos = int64(binary.BigEndian.Uint64(frame[11:19]))
-		ki.HoldNanos = int64(binary.BigEndian.Uint64(frame[19:27]))
-	}
-	return ki, nil
+	return KeepaliveInfo{
+		Thread:    int(binary.BigEndian.Uint16(frame[1:3])),
+		TxNanos:   int64(binary.BigEndian.Uint64(frame[3:11])),
+		EchoNanos: int64(binary.BigEndian.Uint64(frame[11:19])),
+		HoldNanos: int64(binary.BigEndian.Uint64(frame[19:27])),
+	}, nil
 }
 
 // IsKeepalive reports whether the frame is a keepalive.

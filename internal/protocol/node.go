@@ -57,9 +57,9 @@ type NodeConfig struct {
 	DecodeWorkers int
 	// LinkSeq turns on link telemetry's wire stamping: outbound data
 	// frames carry per-(sender, thread) sequence numbers and keepalives
-	// become RTT echo probes. Off (the default) keeps every emitted frame
-	// byte-identical to the legacy encodings; inbound accounting is
-	// always on, so a node still scores peers that stamp.
+	// become RTT echo probes. Off (the default), data frames carry no
+	// sequence number and heartbeat keepalives no timestamps; inbound
+	// accounting is always on, so a node still scores peers that stamp.
 	LinkSeq bool
 	// Obs carries optional instrumentation; nil leaves the node (and its
 	// codecs) uninstrumented at zero cost.
@@ -665,25 +665,19 @@ func (n *Node) applyRedirect(ctx context.Context, r Redirect) {
 	// Catch-up burst: one fresh combination per generation we already
 	// hold, so a late joiner is not starved until the round-robin source
 	// cycles back.
-	type burst struct {
-		frame []byte
-	}
-	var bursts []burst
+	var bursts []outFrame
 	for _, g := range n.genIDs {
 		rc, ok := n.recoders[g]
 		if !ok || rc.Rank() == 0 {
 			continue
 		}
 		if p := n.emitPacketLocked(g, rc); p != nil {
-			bursts = append(bursts, burst{frame: EncodeDataSeq(n.field, r.Thread,
-				n.nextSeqLocked(r.Thread), n.lifecycle.EmitStamp(g), n.forwardTraceLocked(g), p)})
-			p.Release()
+			bursts = append(bursts, n.dataFrameLocked(r.ChildAddr, r.Thread, p, 0))
 		}
 	}
-	child := r.ChildAddr
 	n.mu.Unlock()
 	for _, b := range bursts {
-		n.sendData(ctx, child, b.frame)
+		n.sendData(ctx, b)
 	}
 }
 
@@ -728,9 +722,8 @@ func (n *Node) handleData(ctx context.Context, from string, frame []byte) {
 		}
 		n.recoders[p.Gen] = rc
 	}
-	f := n.field
 	n.mu.Unlock()
-	n.absorb(ctx, f, th, from, emit, tc, rc, p)
+	n.absorb(ctx, th, from, emit, tc, rc, p)
 }
 
 // absorb performs the Gaussian elimination for one received packet —
@@ -738,7 +731,7 @@ func (n *Node) handleData(ctx context.Context, from string, frame []byte) {
 // it — then re-locks for node bookkeeping and forwards one packet of
 // the same generation down the node's own thread, preserving unit flow
 // per thread. It consumes p (released back to the packet pool).
-func (n *Node) absorb(ctx context.Context, f gf.Field, th int, from string, emit int64, tc TraceContext, rc *rlnc.Recoder, p *rlnc.Packet) {
+func (n *Node) absorb(ctx context.Context, th int, from string, emit int64, tc TraceContext, rc *rlnc.Recoder, p *rlnc.Packet) {
 	m := n.cfg.Obs
 	// Stamp the arrival before the Gaussian elimination so the hop span
 	// measures propagation, not local decode work. Untraced frames (the
@@ -793,17 +786,14 @@ func (n *Node) absorb(ctx context.Context, f gf.Field, th int, from string, emit
 	}
 	// What the forwarded packet contains depends on the node's behavior.
 	var out *rlnc.Packet
-	var child string
-	if c, ok := n.childOf[th]; ok {
-		if out = n.emitPacketLocked(p.Gen, rc); out != nil {
-			child = c
-		}
+	child, ok := n.childOf[th]
+	if ok {
+		out = n.emitPacketLocked(p.Gen, rc)
 	}
 	// Merge the trace context and record the hop span. First trace ID
 	// wins for a generation; the node's depth is the max hop seen under
 	// that trace (recoding can deliver the same traced generation along
 	// paths of different length — max is the honest depth of the mix).
-	var fwdTC TraceContext
 	if tc.Traced() {
 		ts, ok := n.traceOf[p.Gen]
 		if !ok {
@@ -829,10 +819,12 @@ func (n *Node) absorb(ctx context.Context, f gf.Field, th int, from string, emit
 			EmitNanos:    emit,
 		})
 	}
-	fwdSeq := int32(-1)
+	var fwd outFrame
 	if out != nil {
-		fwdTC = n.forwardTraceLocked(out.Gen)
-		fwdSeq = n.nextSeqLocked(th)
+		// Propagate the generation's source-emission stamp downstream
+		// (earliest seen wins inside the tracker), so decode delay stays
+		// end-to-end however many overlay hops the data crosses.
+		fwd = n.dataFrameLocked(child, th, out, emit)
 	}
 	id := n.member.ID()
 	n.mu.Unlock()
@@ -844,20 +836,33 @@ func (n *Node) absorb(ctx context.Context, f gf.Field, th int, from string, emit
 		}
 		close(n.completeCh)
 	}
-	if out != nil {
-		// Propagate the generation's source-emission stamp downstream
-		// (earliest seen wins inside the tracker), so decode delay stays
-		// end-to-end however many overlay hops the data crosses.
-		stamp := emit
-		if s := lc.EmitStamp(out.Gen); s > 0 {
-			stamp = s
-		}
-		buf := rlnc.GetFrameBuf()
-		*buf = AppendDataSeq(*buf, f, th, fwdSeq, stamp, fwdTC, out)
-		out.Release()
-		n.sendData(ctx, child, *buf)
-		rlnc.PutFrameBuf(buf)
+	if fwd.buf != nil {
+		n.sendData(ctx, fwd)
 	}
+}
+
+// outFrame is a data-plane frame and its destination. buf is the pooled
+// buffer holding a data frame; keepalives, which are not pooled, leave it
+// nil.
+type outFrame struct {
+	to    string
+	frame []byte
+	buf   *[]byte
+}
+
+// dataFrameLocked encodes the frame that carries p on thread th to child
+// into a pooled buffer and releases p. It fills every per-send header
+// field: the thread's next sequence number, the generation's
+// source-emission stamp (stamp when this node has recorded none) and the
+// forwarding trace context. Callers hold n.mu.
+func (n *Node) dataFrameLocked(child string, th int, p *rlnc.Packet, stamp int64) outFrame {
+	if s := n.lifecycle.EmitStamp(p.Gen); s > 0 {
+		stamp = s
+	}
+	buf := rlnc.GetFrameBuf()
+	*buf = AppendDataSeq(*buf, n.field, th, n.nextSeqLocked(th), stamp, n.forwardTraceLocked(p.Gen), p)
+	p.Release()
+	return outFrame{to: child, frame: *buf, buf: buf}
 }
 
 // forwardTraceLocked returns the trace context this node stamps on
@@ -878,9 +883,8 @@ func (n *Node) forwardTraceLocked(gen uint32) TraceContext {
 
 // nextSeqLocked returns the next outbound sequence number for thread th,
 // advancing the per-thread counter (wrapping in 24-bit space), or -1
-// when LinkSeq stamping is off — which makes every Append/EncodeDataSeq
-// call site fall back to the byte-identical legacy encodings. Callers
-// hold n.mu.
+// when LinkSeq stamping is off, so the frame carries no sequence number.
+// Callers hold n.mu.
 func (n *Node) nextSeqLocked(th int) int32 {
 	if !n.cfg.LinkSeq {
 		return -1
@@ -911,24 +915,31 @@ func (n *Node) emitPacketLocked(gen uint32, rc *rlnc.Recoder) *rlnc.Packet {
 	}
 }
 
-// sendData forwards a data frame with a bounded wait: when the child's
-// queue is full the frame is dropped, exactly as a congested link would
-// drop a datagram. RLNC makes drops harmless — no specific packet is ever
-// required, only enough innovative ones.
-func (n *Node) sendData(ctx context.Context, to string, frame []byte) {
-	if m := n.cfg.Obs; m != nil && IsData(frame) {
+// sendData sends a data-plane frame with a bounded wait, then returns its
+// pooled buffer (both transports copy the frame during Send). When the
+// child's queue is full the frame is dropped, exactly as a congested link
+// would drop a datagram; RLNC makes drops harmless — no specific packet
+// is ever required, only enough innovative ones — so a failed send is
+// only counted.
+func (n *Node) sendData(ctx context.Context, f outFrame) {
+	m := n.cfg.Obs
+	if m != nil && IsData(f.frame) {
 		m.Emitted.Inc()
 	}
 	sendCtx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-	defer cancel()
-	_ = n.ep.Send(sendCtx, to, frame) //nolint:errcheck // lossy data plane
+	err := n.ep.Send(sendCtx, f.to, f.frame)
+	cancel()
+	rlnc.PutFrameBuf(f.buf)
+	if err != nil && m != nil {
+		m.SendErrors.Inc()
+	}
 }
 
 // handleKeepalive refreshes the liveness clock of the sending parent and
 // runs the RTT echo exchange: probes are answered with an echo of their
 // transmit stamp, echoes close the loop into the peer's RTT EWMA.
 func (n *Node) handleKeepalive(ctx context.Context, from string, frame []byte) {
-	ki, err := DecodeKeepaliveEcho(frame)
+	ki, err := DecodeKeepalive(frame)
 	if err != nil {
 		return
 	}
@@ -956,7 +967,7 @@ func (n *Node) handleKeepalive(ctx context.Context, from string, frame []byte) {
 	if ki.IsProbe() {
 		// Answer immediately, so HoldNanos (the receiver's processing
 		// delay) is negligible and reported as zero.
-		n.sendData(ctx, from, EncodeKeepaliveEcho(th, 0, ki.TxNanos, 0))
+		n.sendData(ctx, outFrame{to: from, frame: EncodeKeepalive(th, 0, ki.TxNanos, 0)})
 	}
 }
 
@@ -969,16 +980,12 @@ func (n *Node) handleKeepalive(ctx context.Context, from string, frame []byte) {
 // on threads where it has nothing to forward, so that upstream starvation
 // is never mistaken for this node's death.
 func (n *Node) beat(ctx context.Context) {
-	type hb struct {
-		to    string
-		frame []byte
-	}
-	var beats []hb
+	var beats []outFrame
 	n.mu.Lock()
 	if n.cfg.LinkSeq && n.member.State().Admitted() {
 		for th, parent := range n.parentOf {
 			if parent != "" {
-				beats = append(beats, hb{to: parent, frame: EncodeKeepaliveEcho(th, time.Now().UnixNano(), 0, 0)})
+				beats = append(beats, outFrame{to: parent, frame: EncodeKeepalive(th, time.Now().UnixNano(), 0, 0)})
 			}
 		}
 	}
@@ -991,7 +998,6 @@ func (n *Node) beat(ctx context.Context) {
 		children = nil
 	}
 	for th, child := range children {
-		b := hb{to: child}
 		// Prefer a useful heartbeat: a fresh combination of a rotating
 		// generation we hold rank in. This keeps a quiet subtree
 		// progressing even when the node's own inflow is idle (e.g. it
@@ -1000,26 +1006,21 @@ func (n *Node) beat(ctx context.Context) {
 			g := n.genIDs[(n.hbGen+th)%len(n.genIDs)]
 			if rc, ok := n.recoders[g]; ok && rc.Rank() > 0 {
 				if p := n.emitPacketLocked(g, rc); p != nil {
-					b.frame = EncodeDataSeq(n.field, th, n.nextSeqLocked(th),
-						n.lifecycle.EmitStamp(g), n.forwardTraceLocked(g), p)
-					p.Release()
+					beats = append(beats, n.dataFrameLocked(child, th, p, 0))
+					continue
 				}
 			}
 		}
-		if b.frame == nil {
-			if n.cfg.LinkSeq {
-				// Double as an RTT probe down the same path.
-				b.frame = EncodeKeepaliveEcho(th, time.Now().UnixNano(), 0, 0)
-			} else {
-				b.frame = EncodeKeepalive(th)
-			}
+		var tx int64
+		if n.cfg.LinkSeq {
+			tx = time.Now().UnixNano() // double as an RTT probe down the same path
 		}
-		beats = append(beats, b)
+		beats = append(beats, outFrame{to: child, frame: EncodeKeepalive(th, tx, 0, 0)})
 	}
 	n.hbGen++
 	n.mu.Unlock()
 	for _, b := range beats {
-		n.sendData(ctx, b.to, b.frame)
+		n.sendData(ctx, b)
 	}
 }
 

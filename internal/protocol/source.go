@@ -52,8 +52,7 @@ type Source struct {
 	Systematic bool
 	// LinkSeq stamps every emitted frame with a per-thread sequence
 	// number so direct children can estimate loss on their source links.
-	// Off keeps the wire byte-identical to the legacy encodings. Set
-	// before Run.
+	// Off, frames carry no sequence number. Set before Run.
 	LinkSeq bool
 	// sysSent counts, per generation, how many systematic packets have
 	// been emitted; only Run touches it.
@@ -240,16 +239,22 @@ func (s *Source) Run(ctx context.Context) error {
 					s.seq[th] = (s.seq[th] + 1) % SeqMod
 				}
 			}
-			frame := EncodeDataSeq(s.params.Field, th, seq, s.emitStamp(p.Gen), tc, p)
+			buf := rlnc.GetFrameBuf()
+			*buf = AppendDataSeq(*buf, s.params.Field, th, seq, s.emitStamp(p.Gen), tc, p)
+			p.Release()
 			sendCtx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-			err = s.ep.Send(sendCtx, child, frame)
+			err = s.ep.Send(sendCtx, child, *buf) // Send copies the frame
 			cancel()
+			rlnc.PutFrameBuf(buf)
 			if err != nil {
 				if ctx.Err() != nil {
 					return ctx.Err()
 				}
 				// Child unreachable or clogged: drop and keep pumping
 				// other threads; repair or drainage will fix this one.
+				if m != nil {
+					m.SendErrors.Inc()
+				}
 				continue
 			}
 			if m != nil {

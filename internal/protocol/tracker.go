@@ -651,16 +651,16 @@ func (t *Tracker) deliver(ctx context.Context, to string, frame []byte) {
 }
 
 // echoProbe answers a link-RTT probe keepalive with an echo carrying the
-// prober's transmit stamp. Echoes and legacy keepalives are ignored. The
+// prober's transmit stamp. Echoes and plain beats are ignored. The
 // send is bounded so a clogged data plane cannot stall dispatch for long;
 // a lost echo just costs one RTT sample.
 func (t *Tracker) echoProbe(ctx context.Context, from string, frame []byte) {
-	ki, err := DecodeKeepaliveEcho(frame)
+	ki, err := DecodeKeepalive(frame)
 	if err != nil || !ki.IsProbe() {
 		return
 	}
 	sendCtx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-	_ = t.ep.Send(sendCtx, from, EncodeKeepaliveEcho(ki.Thread, 0, ki.TxNanos, 0))
+	_ = t.ep.Send(sendCtx, from, EncodeKeepalive(ki.Thread, 0, ki.TxNanos, 0))
 	cancel()
 }
 

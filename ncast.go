@@ -30,6 +30,7 @@ import (
 
 	"ncast/internal/core"
 	"ncast/internal/gf"
+	"ncast/internal/obs"
 	"ncast/internal/protocol"
 	"ncast/internal/rlnc"
 	"ncast/internal/transport"
@@ -395,22 +396,65 @@ func WithDataLoss(p float64) Option {
 	return func(c *Config) { c.DataLoss = p }
 }
 
-// newSource builds the flat or layered data source for cfg.
-func (c Config) newSource(ep sourceEndpoint, content []byte) (*protocol.Source, error) {
+// newRegistry returns the metrics registry for one session side, or nil
+// when observability is disabled.
+func (c Config) newRegistry() *obs.Registry {
+	if c.DisableObs {
+		return nil
+	}
+	return obs.NewRegistry(obs.WithTraceCapacity(c.TraceCap))
+}
+
+// newServer builds the server side of a broadcast on ep — the flat or
+// layered data source and the tracker that routes its threads — with
+// their metrics on reg. Session and ListenAndServe both start here.
+func (c Config) newServer(ep transport.Endpoint, content []byte, reg *obs.Registry) (*protocol.Source, *protocol.Tracker, error) {
 	params, err := c.params()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	var source *protocol.Source
 	if len(c.LayerWeights) > 0 {
 		lp := rlnc.LayeredParams{Params: params, Weights: c.LayerWeights}
-		return protocol.NewLayeredSource(ep, c.K, lp, content, c.Seed)
+		source, err = protocol.NewLayeredSource(ep, c.K, lp, content, c.Seed)
+	} else {
+		source, err = protocol.NewSource(ep, c.K, params, content, c.Seed)
 	}
-	return protocol.NewSource(ep, c.K, params, content, c.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	source.RoundInterval = c.SourceInterval
+	source.Obs = obs.NewSourceMetrics(reg)
+	source.TraceRate = c.TraceRate
+	source.Systematic = c.Systematic
+	source.LinkSeq = c.DatagramData
+	trackerCfg := c.trackerConfig(source.Session())
+	trackerCfg.Obs = obs.NewTrackerMetrics(reg)
+	trackerCfg.TraceObs = obs.NewTraceMetrics(reg)
+	trackerCfg.LinkObs = obs.NewLinkMetrics(reg)
+	obs.NewRuntimeMetrics(reg)
+	tracker, err := protocol.NewTracker(ep, source, trackerCfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return source, tracker, nil
+}
+
+// nodeConfig builds a client node's config — the one place Session
+// clients and Dial clients get their degree, seed, behavior, link
+// stamping, metrics (labeled name) and lifecycle sink.
+func (c Config) nodeConfig(trackerAddr, name string, s clientSettings, reg *obs.Registry) protocol.NodeConfig {
+	return protocol.NodeConfig{
+		TrackerAddr:      trackerAddr,
+		Degree:           s.degree,
+		ComplaintTimeout: c.ComplaintTimeout,
+		Behavior:         s.behavior,
+		Seed:             s.seed,
+		LinkSeq:          c.DatagramData,
+		Obs:              obs.NewNodeMetrics(reg, name),
+		GenSink:          s.genSink,
+	}
 }
 
 // ErrClosed is returned by operations on a closed session.
 var ErrClosed = errors.New("ncast: closed")
-
-// sourceEndpoint is the transport dependency of newSource, satisfied by
-// both in-memory and TCP endpoints.
-type sourceEndpoint = transport.Endpoint

@@ -321,6 +321,46 @@ func TestServerAndDialOverTCP(t *testing.T) {
 	})
 }
 
+// TestDialHonorsBehavior checks that a socket client asked to freeload
+// does: with k = d = 2 the second client hangs below the first on both
+// threads, and the freeloader keeps receiving yet forwards nothing.
+// Complaints are off so the overlay stays put.
+func TestDialHonorsBehavior(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig()
+	cfg.K, cfg.D = 2, 2
+	cfg.ComplaintTimeout = 0
+	cfg.SourceInterval = time.Millisecond
+	srv, err := ListenAndServe("127.0.0.1:0", testContent(4000), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	free, err := Dial(ctx, srv.Addr(), "127.0.0.1:0", cfg, WithBehavior(BehaviorFreeloader))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer free.Close()
+	child, err := Dial(ctx, srv.Addr(), "127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer child.Close()
+	metric := func(name string) float64 {
+		snap := free.Snapshot()
+		return snap.SumMetric(name)
+	}
+	start := metric("ncast_node_received_total")
+	waitFor(t, 10*time.Second, "the freeloader to receive 500 packets with a child below it", func() bool {
+		return metric("ncast_node_received_total") >= start+500
+	})
+	if n := metric("ncast_node_emitted_total"); n != 0 {
+		t.Fatalf("freeloader forwarded %v frames, want 0", n)
+	}
+}
+
 // TestSessionLeafCrashSwept exercises the public-API liveness path: a
 // crashed client with no children is invisible to the complaint protocol,
 // so only the tracker's lease sweep (DefaultConfig enables it) can

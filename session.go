@@ -112,31 +112,13 @@ func NewSession(content []byte, cfg Config, opts ...SessionOption) (*Session, er
 		}
 	}
 
-	var reg *obs.Registry
-	if !cfg.DisableObs {
-		reg = obs.NewRegistry(obs.WithTraceCapacity(cfg.TraceCap))
-	}
+	reg := cfg.newRegistry()
 	ep, err := sessionEndpoint(net, dataNet, "server", reg, nil)
 	if err != nil {
 		closeNets()
 		return nil, err
 	}
-	source, err := cfg.newSource(ep, content)
-	if err != nil {
-		closeNets()
-		return nil, err
-	}
-	source.RoundInterval = cfg.SourceInterval
-	source.Obs = obs.NewSourceMetrics(reg)
-	source.TraceRate = cfg.TraceRate
-	source.Systematic = cfg.Systematic
-	source.LinkSeq = cfg.DatagramData
-	trackerCfg := cfg.trackerConfig(source.Session())
-	trackerCfg.Obs = obs.NewTrackerMetrics(reg)
-	trackerCfg.TraceObs = obs.NewTraceMetrics(reg)
-	trackerCfg.LinkObs = obs.NewLinkMetrics(reg)
-	obs.NewRuntimeMetrics(reg)
-	tracker, err := protocol.NewTracker(ep, source, trackerCfg)
+	source, tracker, err := cfg.newServer(ep, content, reg)
 	if err != nil {
 		closeNets()
 		return nil, err
@@ -276,7 +258,8 @@ func WithBehavior(b protocol.Behavior) ClientOption {
 // WithClientDataLoss drops each of this client's inbound data-plane frames
 // with probability p — one-way loss localized to exactly this peer, the
 // lossy-peer drill behind the link-telemetry estimators. Datagram-mode
-// sessions only; single-fabric sessions ignore it (use WithLoss there).
+// sessions only; single-fabric sessions ignore it (use WithLoss there),
+// and so does Dial.
 func WithClientDataLoss(p float64) ClientOption {
 	return func(c *clientSettings) { c.dataLoss = p }
 }
@@ -285,7 +268,7 @@ func WithClientDataLoss(p float64) ClientOption {
 // frame deliveries, so its keepalive-probe RTT EWMAs reflect a slow link.
 // The delay is applied serially on the receive path — keep the inbound
 // frame rate well under 1/d or the injection itself becomes the
-// bottleneck. Datagram-mode sessions only.
+// bottleneck. Datagram-mode sessions only; Dial ignores it.
 func WithClientDataDelay(d time.Duration) ClientOption {
 	return func(c *clientSettings) { c.dataDelay = d }
 }
@@ -318,20 +301,10 @@ func (s *Session) AddClient(ctx context.Context, opts ...ClientOption) (*Client,
 	if err != nil {
 		return nil, err
 	}
-	sink := settings.genSink
-	if sink == nil {
-		sink = s.genSink
+	if settings.genSink == nil {
+		settings.genSink = s.genSink
 	}
-	node := protocol.NewNode(ep, protocol.NodeConfig{
-		TrackerAddr:      "server",
-		Degree:           settings.degree,
-		ComplaintTimeout: s.cfg.ComplaintTimeout,
-		Behavior:         settings.behavior,
-		Seed:             settings.seed,
-		LinkSeq:          s.cfg.DatagramData,
-		Obs:              obs.NewNodeMetrics(s.obs, addr),
-		GenSink:          sink,
-	})
+	node := protocol.NewNode(ep, s.cfg.nodeConfig("server", addr, settings, s.obs))
 	runCtx, cancel := context.WithCancel(context.Background())
 	c := &Client{node: node, addr: addr, session: s, cancel: cancel}
 	s.wg.Add(1)

@@ -66,30 +66,12 @@ func ListenAndServe(addr string, content []byte, cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var reg *obs.Registry
-	if !cfg.DisableObs {
-		reg = obs.NewRegistry(obs.WithTraceCapacity(cfg.TraceCap))
-	}
+	reg := cfg.newRegistry()
 	ep, err := listenEndpoint(addr, "server", cfg, reg)
 	if err != nil {
 		return nil, err
 	}
-	source, err := cfg.newSource(ep, content)
-	if err != nil {
-		ep.Close()
-		return nil, err
-	}
-	source.RoundInterval = cfg.SourceInterval
-	source.Obs = obs.NewSourceMetrics(reg)
-	source.TraceRate = cfg.TraceRate
-	source.Systematic = cfg.Systematic
-	source.LinkSeq = cfg.DatagramData
-	trackerCfg := cfg.trackerConfig(source.Session())
-	trackerCfg.Obs = obs.NewTrackerMetrics(reg)
-	trackerCfg.TraceObs = obs.NewTraceMetrics(reg)
-	trackerCfg.LinkObs = obs.NewLinkMetrics(reg)
-	obs.NewRuntimeMetrics(reg)
-	tracker, err := protocol.NewTracker(ep, source, trackerCfg)
+	source, tracker, err := cfg.newServer(ep, content, reg)
 	if err != nil {
 		ep.Close()
 		return nil, err
@@ -171,29 +153,18 @@ type RemoteClient struct {
 
 // Dial joins the broadcast at serverAddr, listening on listenAddr
 // (typically "127.0.0.1:0" or ":0"). cfg supplies the complaint timeout;
-// opts may request a degree.
+// opts may request a degree, seed, behavior or lifecycle sink.
 func Dial(ctx context.Context, serverAddr, listenAddr string, cfg Config, opts ...ClientOption) (*RemoteClient, error) {
 	settings := clientSettings{seed: cfg.Seed}
 	for _, o := range opts {
 		o(&settings)
 	}
-	var reg *obs.Registry
-	if !cfg.DisableObs {
-		reg = obs.NewRegistry(obs.WithTraceCapacity(cfg.TraceCap))
-	}
+	reg := cfg.newRegistry()
 	ep, err := listenEndpoint(listenAddr, "", cfg, reg)
 	if err != nil {
 		return nil, err
 	}
-	node := protocol.NewNode(ep, protocol.NodeConfig{
-		TrackerAddr:      serverAddr,
-		Degree:           settings.degree,
-		ComplaintTimeout: cfg.ComplaintTimeout,
-		Seed:             settings.seed,
-		LinkSeq:          cfg.DatagramData,
-		Obs:              obs.NewNodeMetrics(reg, ep.Addr()),
-		GenSink:          settings.genSink,
-	})
+	node := protocol.NewNode(ep, cfg.nodeConfig(serverAddr, ep.Addr(), settings, reg))
 	runCtx, cancel := context.WithCancel(context.Background())
 	c := &RemoteClient{node: node, ep: ep, obs: reg, cancel: cancel}
 	c.wg.Add(1)

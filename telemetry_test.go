@@ -53,6 +53,8 @@ func TestMetricNameLint(t *testing.T) {
 	for _, want := range []string{
 		"ncast_node_decode_delay_nanos",
 		"ncast_node_coding_overhead_ratio",
+		"ncast_node_send_errors_total",
+		"ncast_source_send_errors_total",
 		"ncast_tracker_stats_reports_total",
 		"ncast_trace_hop_depth",
 		"ncast_trace_innovation_ratio",
